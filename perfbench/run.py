@@ -2,11 +2,12 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload lmbench_tables --seed 20 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload lmbench_tables --seed 20 --seconds 30 --trace 0
 
-``--trace 0`` times whole passes over the workload's operations until
-``--seconds`` have passed (at least one pass), and reports the
-end-to-end metrics.  ``--trace 1`` runs one pass with every layer's public
+``--trace 0`` runs the workload's operations round-robin until
+``--seconds`` have passed (each at least once), times each run in CPU
+seconds scaled to a fixed host speed (see ``hostspeed.py``), and reports
+the end-to-end metrics.  ``--trace 1`` runs one pass with every layer's public
 functions wrapped in timing shims (see ``layers.py``), then one plain
 pass, and reports the per-layer metrics.  Every operation's simulated
 output is checked; the last line of standard output is one JSON object
@@ -24,6 +25,7 @@ without it the benchmark exits with status 2 and prints no result.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -43,12 +45,12 @@ REFERENCE = os.path.join(HERE, "reference.json")
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
-from perfbench import layers, workloads  # noqa: E402
+from perfbench import hostspeed, layers, workloads  # noqa: E402
 
 WORKLOADS = ("lmbench_tables", "htab_flush", "smp_service")
 
 #: Fresh interpreters timed per run; ``setup_s`` is their median.
-SETUP_REPEATS = 7
+SETUP_REPEATS = 9
 
 
 class BenchError(Exception):
@@ -152,26 +154,29 @@ def run_pass(
 
 
 def setup_seconds(workload: str, repeats: int = SETUP_REPEATS) -> List[float]:
-    """Fresh interpreter -> imports, registry, one boot per machine spec."""
+    """Scaled CPU seconds of fresh interpreters: imports, registry, one
+    boot per machine spec (each probe reports its own)."""
     command = [sys.executable, os.path.abspath(__file__),
                "--setup-probe", "--workload", workload]
     samples = []
     for _ in range(repeats):
-        start = time.perf_counter()
         probe = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
-        elapsed = time.perf_counter() - start
         if probe.returncode != 0:
             raise BenchError(f"setup probe failed: {probe.stderr.strip()}")
-        samples.append(elapsed)
+        samples.append(json.loads(probe.stdout.splitlines()[-1])["setup_s"])
     return samples
 
 
 def setup_probe(workload: str) -> None:
-    """Body of one setup probe; exits without interpreter teardown."""
-    import_program()
-    from repro.analysis import capacity, engine, specs  # noqa: F401
+    """Body of one setup probe: prints its scaled CPU seconds since the
+    interpreter started, then exits without interpreter teardown."""
+    startup = time.thread_time()
+    with hostspeed.SpeedProbe() as probe:
+        import_program()
+        from repro.analysis import capacity, engine, specs  # noqa: F401
 
-    workloads.setup_boots(workloads.operations(workload))
+        workloads.setup_boots(workloads.operations(workload))
+    print(json.dumps({"setup_s": (startup + probe.cpu_s) * probe.speed}))
     sys.stdout.flush()
     os._exit(0)
 
@@ -184,49 +189,72 @@ def timed_run(
     reference: Dict[str, str],
     setup_repeats: int = SETUP_REPEATS,
 ) -> Dict[str, Any]:
-    """Run whole passes over the operations until ``seconds`` have passed.
+    """Run the operations round-robin until ``seconds`` have passed.
 
-    ``wall_s`` is one pass's cost, taken as the sum of each operation's
-    median time.  ``peak_rss_mb`` is read after the first pass, so it
-    does not depend on how many passes fit in the run.
+    Every operation runs at least once; after that, an operation is
+    started only if its last run would still end before the deadline.
+    Each run starts after a garbage collection (so it does not pay for
+    the previous one's garbage) and is timed by a
+    :class:`hostspeed.SpeedProbe`.  ``norm_cpu_s`` is one pass's cost:
+    the sum of each operation's median scaled CPU seconds.
+    ``peak_rss_mb`` is read once every operation has run, so it does not
+    depend on how many runs fit.
     """
     setup = setup_seconds(workload, setup_repeats) if setup_repeats else []
     workloads.setup_boots(ops)
     recorder = workloads.BootRecorder()
     recorder.install()
     samples: Dict[str, List[float]] = {op.name: [] for op in ops}
+    #: Per run: wall seconds, CPU seconds net of calibration, host speed.
+    raw: Dict[str, List[Tuple[float, float, float]]] = {
+        op.name: [] for op in ops
+    }
     cycles: Dict[str, int] = {}
     failures: List[Tuple[str, List[str]]] = []
-    passes = 0
+    attempted = 0
     peak_rss = 0.0
     deadline = time.perf_counter() + seconds
     try:
-        while passes == 0 or time.perf_counter() < deadline:
-            results, seconds_taken = run_pass(ops, seed, recorder)
-            for op, result, taken in zip(ops, results, seconds_taken):
-                samples[op.name].append(taken)
+        while True:
+            progressed = False
+            for op in ops:
+                if (raw[op.name] and
+                        time.perf_counter() + raw[op.name][-1][0] > deadline):
+                    continue
+                gc.collect()
+                start = time.perf_counter()
+                with hostspeed.SpeedProbe() as probe:
+                    result = op.execute(seed, recorder)
+                raw[op.name].append(
+                    (time.perf_counter() - start, probe.cpu_s, probe.speed)
+                )
+                samples[op.name].append(probe.scaled_s)
+                attempted += 1
+                progressed = True
                 cycles.setdefault(op.name, result.sim_cycles)
                 problems = check(workload, op, result, seed, reference)
                 if problems:
                     failures.append((op.name, problems))
-            if passes == 0:
-                peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            passes += 1
+                if not peak_rss and all(raw.values()):
+                    peak_rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            if not progressed:
+                break
     finally:
         recorder.uninstall()
-    wall = sum(statistics.median(values) for values in samples.values())
+    cpu = sum(statistics.median(values) for values in samples.values())
     metrics = {
-        "wall_s": (wall, "s"),
-        "sim_mcycles_per_s": (sum(cycles.values()) / 1e6 / wall, "Mcycles/s"),
+        "norm_cpu_s": (cpu, "s"),
+        "sim_mcycles_per_s": (sum(cycles.values()) / 1e6 / cpu, "Mcycles/s"),
         "peak_rss_mb": (peak_rss / 1024, "MB"),
     }
     if setup:
         metrics["setup_s"] = (statistics.median(setup), "s")
     return {
-        "attempted": passes * len(ops),
+        "attempted": attempted,
         "failures": failures,
         "metrics": metrics,
         "samples": samples,
+        "raw_samples": raw,
         "setup_samples": setup,
         "sim_cycles": cycles,
     }
@@ -420,7 +448,7 @@ def parse_args(argv: Optional[List[str]]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--setup-probe", action="store_true",
                         help=argparse.SUPPRESS)
@@ -480,7 +508,7 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"{'traced' if args.trace else 'untraced'}")
     for name, values in outcome.get("samples", {}).items():
         print(f"  op {name}: n={len(values)} median={statistics.median(values):.4f}s"
-              f" min={min(values):.4f}s max={max(values):.4f}s")
+              f" min={min(values):.4f}s max={max(values):.4f}s (scaled CPU)")
     for name, problems in outcome["failures"]:
         print(f"  FAILED {name}: {'; '.join(problems)}")
     for name, (value, unit) in outcome["metrics"].items():

@@ -7,13 +7,15 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import types
 
 import pytest
 
-from perfbench import layers, run, workloads
+from perfbench import hostspeed, layers, run, workloads
 
 run.import_program()
 
@@ -210,6 +212,22 @@ def drive(n):
         body = handle.read()
     assert header["names"] == tracer.names and header["spans"] == 8
     assert len(body) == 8 * (2 + 4 + 8 + 8)
+
+
+# -- host speed -------------------------------------------------------------
+
+
+def test_speed_probe_samples_inside_the_block_and_nets_them_out():
+    before = signal.getsignal(signal.SIGPROF)
+    with hostspeed.SpeedProbe() as probe:
+        start = time.thread_time()
+        while time.thread_time() - start < 0.1:
+            sum(range(1000))
+    assert len(probe.loops) >= 3
+    assert 0 < probe.cpu_s < probe.gross_s
+    assert probe.speed > 0 and probe.scaled_s > 0
+    assert signal.getsignal(signal.SIGPROF) is before
+    assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
 
 
 # -- environment ------------------------------------------------------------

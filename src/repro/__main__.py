@@ -8,8 +8,8 @@ Subcommands:
   registry, ``--jobs N`` fans it out across processes (output is
   byte-identical to serial), ``--no-cache``/``--rerun`` control the
   on-disk result cache, ``--matrix NAME`` runs a config-matrix sweep,
-  and ``--bench-out FILE`` writes a BENCH_results.json-style artifact
-  with per-experiment wall times.
+  and ``--bench-out FILE`` writes a bench document (the format of
+  ``BENCH_baseline.json``) with per-experiment wall times.
 * ``check [E6 ...|--all]`` — run experiments under the shadow-MMU
   coherence sanitizer and report invariant violations.
 * ``trace E7 --out e7.trace.json`` — run one experiment under the flight
@@ -90,8 +90,6 @@ def _cmd_run(args) -> int:
         print("no experiments given (pass ids, --all, or --matrix NAME)",
               file=sys.stderr)
         return 2
-    if args.json:
-        return _cmd_run_json(args, ids)
     from repro.analysis import engine
 
     progress = None
@@ -108,18 +106,32 @@ def _cmd_run(args) -> int:
         rerun=args.rerun,
         progress=progress,
     )
-    for result in run.results:
-        print(result.report)
-        if result.notes:
-            print(f"  notes: {result.notes}")
-        print(f"  shape_holds: {result.shape_holds}")
-        print()
+    if args.json:
+        _print_records(run.results)
+    else:
+        for result in run.results:
+            print(result.report)
+            if result.notes:
+                print(f"  notes: {result.notes}")
+            print(f"  shape_holds: {result.shape_holds}")
+            print()
     if args.bench_out:
         _write_bench_artifact(args.bench_out, run)
     if not run.ok:
-        print(f"paper shape did NOT hold for: {', '.join(run.failed_ids())}")
+        if not args.json:
+            print("paper shape did NOT hold for: "
+                  f"{', '.join(run.failed_ids())}")
         return 1
     return 0
+
+
+def _print_records(results) -> None:
+    """Print the one producer's record per result (a list for several)."""
+    from repro.analysis import engine
+    from repro.obs import metrics
+
+    records = [engine.result_record(result) for result in results]
+    print(metrics.dumps(records[0] if len(records) == 1 else records), end="")
 
 
 def _write_bench_artifact(out_path, run) -> None:
@@ -128,7 +140,6 @@ def _write_bench_artifact(out_path, run) -> None:
 
     doc = metrics.bench_doc(
         [engine.result_record(result) for result in run.results],
-        source="python -m repro run --bench-out",
         timings=run.timings,
     )
     metrics.validate_bench_doc(doc)
@@ -148,21 +159,6 @@ def _cmd_run_matrix(args) -> int:
         print(specs.MATRICES[name].run())
         print()
     return 0
-
-
-def _cmd_run_json(args, ids) -> int:
-    from repro.obs import metrics
-    from repro.obs import session as obs_session
-
-    records = []
-    ok = True
-    for key in ids:
-        observed = obs_session.run_observed(key)
-        records.append(observed.record())
-        ok = ok and observed.result.shape_holds
-    doc = records[0] if len(records) == 1 else records
-    print(metrics.dumps(doc), end="")
-    return 0 if ok else 1
 
 
 def _cmd_check(args) -> int:
@@ -196,7 +192,6 @@ def _cmd_check(args) -> int:
 def _cmd_trace(args) -> int:
     import json
 
-    from repro.obs import metrics
     from repro.obs import session as obs_session
 
     key = args.id.upper()
@@ -240,49 +235,36 @@ def _cmd_trace(args) -> int:
         print(flame.render_critical_path(flame.critical_path(tracers)),
               end="")
     if args.json:
-        print(metrics.dumps(observed.record()), end="")
+        from repro.obs import analytics
+
+        observed.result.derived = analytics.derive(observed.observed)
+        _print_records([observed.result])
     return 0
 
 
 def _cmd_profile(args) -> int:
-    from repro.obs import metrics
-    from repro.obs import session as obs_session
+    from repro.analysis import engine
     from repro.obs.profiler import render_attribution
 
+    ids = _resolve_ids(args)
+    if ids is None:
+        return 2
     if args.host:
-        return _cmd_profile_host(args)
-    records = []
-    for experiment_id in args.ids:
-        key = experiment_id.upper()
-        if key not in specs.SPECS:
-            print(f"unknown experiment {experiment_id!r} "
-                  f"(try: python -m repro list)", file=sys.stderr)
-            return 2
-        observed = obs_session.run_observed(key)
-        if args.json:
-            records.append(observed.record())
-            continue
-        title = (f"{key} — {observed.result.title} "
-                 f"[{', '.join(observed.machines())}]")
-        print(render_attribution(observed.attribution(), title))
-        print()
+        return _cmd_profile_host(args, ids)
+    run = engine.run_ids(ids)
     if args.json:
-        doc = records[0] if len(records) == 1 else records
-        print(metrics.dumps(doc), end="")
+        _print_records(run.results)
+        return 0
+    for record in map(engine.result_record, run.results):
+        title = f"{record['id']} — {record['title']} [{record['machine']}]"
+        print(render_attribution(record["attribution"], title))
+        print()
     return 0
 
 
-def _cmd_profile_host(args) -> int:
+def _cmd_profile_host(args, ids) -> int:
     from repro.obs import hostprof, metrics
 
-    ids = []
-    for experiment_id in args.ids:
-        key = experiment_id.upper()
-        if key not in specs.SPECS:
-            print(f"unknown experiment {experiment_id!r} "
-                  f"(try: python -m repro list)", file=sys.stderr)
-            return 2
-        ids.append(key)
     doc = hostprof.profile_experiments(ids)
     if args.json:
         print(metrics.dumps(doc), end="")
@@ -634,8 +616,8 @@ def main(argv=None) -> int:
     )
     run.add_argument(
         "--bench-out", default=None, metavar="FILE",
-        help="write a BENCH_results.json-style artifact with "
-             "per-experiment wall times",
+        help="write a bench document (the BENCH_baseline.json format) "
+             "with per-experiment wall times",
     )
     run.add_argument(
         "--json", action="store_true",
@@ -732,7 +714,7 @@ def main(argv=None) -> int:
     )
     app_parser.add_argument(
         "results", metavar="RESULTS",
-        help="bench artifact to record (BENCH_results.json)",
+        help="bench document to record (from run --bench-out)",
     )
     app_parser.add_argument(
         "--history", default="BENCH_history.jsonl", metavar="FILE",

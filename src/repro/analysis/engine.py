@@ -53,8 +53,8 @@ def execute(
     workload under the flight recorder and attaches the observatory's
     ``derived`` block to the result; it is a no-op when a global
     recorder is already active (the outer caller owns the handles then,
-    e.g. the benchmark suite or ``repro trace``).  Deriving never
-    changes the measured numbers — the recorder is zero-perturbation.
+    e.g. ``repro trace``).  Deriving never changes the measured numbers
+    — the recorder is zero-perturbation.
     """
     if derive and not obs.global_obs_active():
         return _execute_derived(spec, params)
@@ -222,19 +222,19 @@ def run_ids(
 
 
 # ---------------------------------------------------------------------------
-# BENCH records (the deterministic half of BENCH_results.json)
+# BENCH records (the deterministic half of a bench document)
 # ---------------------------------------------------------------------------
 
 
 def result_record(result: ExperimentResult) -> Dict[str, object]:
     """A deterministic BENCH record built from the result alone.
 
-    A thin wrapper over the one record builder
-    (:func:`repro.obs.metrics.experiment_record`): with no live
-    recorder handles, total cycles / machines / attribution are lifted
-    from the result's ``derived`` block, which the engine always
-    attaches — so cold-cache and warm-cache runs emit byte-identical
-    records with the same field set as the benchmark suite's.
+    The one record producer: ``run --json``, ``run --bench-out``,
+    ``profile`` and ``trace --json`` all print what this returns.  It
+    wraps :func:`repro.obs.metrics.experiment_record`, which lifts
+    total cycles / machines / attribution from the result's all-CPU
+    ``derived`` block — so cold-cache and warm-cache runs emit
+    byte-identical records.
     """
     from repro.obs.metrics import experiment_record
 

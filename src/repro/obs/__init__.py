@@ -78,7 +78,6 @@ class Observability:
         self.machine = machine
         self.label = label if label is not None else machine.spec.name
         self.tracer: Optional[EventTracer] = None
-        self.profiler: Optional[CycleProfiler] = None
         self.profilers: List[CycleProfiler] = []
         self.sampler: Optional[TimeSeriesSampler] = None
         if trace:
@@ -94,12 +93,9 @@ class Observability:
                 # point, every CPU's monitor-side observer slot.
                 cpu.monitor.tracer = self.tracer
         if profile:
-            # One profiler per CPU ledger; ``profiler`` stays the boot
-            # CPU's for existing single-CPU callers.
             self.profilers = [
                 CycleProfiler(cpu.clock) for cpu in machine.cpus
             ]
-            self.profiler = self.profilers[0]
         if sample_every_us is not None:
             self.sampler = TimeSeriesSampler(
                 kernel, sample_every_us, tracer=self.tracer

@@ -274,11 +274,7 @@ def _merged_counts(count_lists: List[List[int]]) -> List[int]:
 
 
 def _attribution_block(observed: Iterable[Any]) -> Optional[Dict[str, object]]:
-    attribution = merge_attributions(
-        obs.attribution()
-        for obs in observed
-        if obs.profiler is not None
-    )
+    attribution = merge_attributions(obs.attribution() for obs in observed)
     if not attribution:
         return None
     total = sum(attribution.values())
@@ -458,9 +454,9 @@ def derive(observed: Sequence[Any]) -> Dict[str, object]:
     """The full derived block for a drained list of recorder handles.
 
     Sections degrade gracefully with the recorder configuration: a
-    profile-only run (the benchmark suite) gets attribution, counters
-    and histograms; a traced run adds spans, categories and the reload
-    tail; a sampled run adds the timeline.
+    profile-only run gets attribution, counters and histograms; a
+    traced run adds spans, categories and the reload tail; a sampled
+    run adds the timeline.
     """
     observed = list(observed)
     if not observed:

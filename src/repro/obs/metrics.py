@@ -1,10 +1,10 @@
 """Machine-readable metrics: one serialization for every consumer.
 
-``repro run --json``, ``repro check --json``, the benchmark suite's
-per-experiment records and the repo-root ``BENCH_results.json``
-aggregate all flow through here, so a run is diffable mechanically —
-the ISSUE's "perf trajectory" artifact.  Records are deterministic:
-no wall-clock timestamps, keys sorted at serialization time.
+``repro run --json``, ``repro profile --json``, ``repro trace --json``,
+``repro check --json`` and the ``repro run --bench-out`` document
+(``BENCH_baseline.json`` is one) all flow through here, so a run is
+diffable mechanically.  Records are deterministic: no wall-clock
+timestamps, keys sorted at serialization time.
 """
 
 from __future__ import annotations
@@ -12,11 +12,9 @@ from __future__ import annotations
 import json
 import pathlib
 import re
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
-from repro.obs import analytics
-
-#: Schema version for BENCH_results.json consumers.  v2: records are
+#: Schema version of bench documents.  v2: records are
 #: emitted in sorted_ids() order under a ``schema_version`` field, and
 #: an optional ``timings`` section carries wall seconds per experiment
 #: (the one part of the document exempt from determinism — two
@@ -48,61 +46,33 @@ def json_safe(value: Any) -> Any:
     return str(value)
 
 
-def experiment_record(result: Any, observed: Sequence[Any] = (),
-                      spec: Any = None) -> Dict:
+def experiment_record(result: Any, spec: Any = None) -> Dict:
     """One structured record for an :class:`ExperimentResult`.
 
-    The *only* bench-record builder: the benchmark suite (live
-    ``observed`` handles), the engine's cached path (``spec`` only) and
-    the obs session all funnel through here, so every record carries
-    the same field set (:data:`RECORD_REQUIRED`) and
-    ``summary.total_cycles`` aggregates something real on every path.
-
-    ``observed`` is the list of :class:`~repro.obs.Observability`
-    handles drained from the run (one per machine the experiment
-    booted); when absent, total cycles, machines, simulator count and
-    the cycle attribution are lifted from the result's ``derived``
-    block (the engine always attaches one).  ``spec`` supplies the
-    registry metadata (section, variants) the result itself does not
-    carry; callers that can reach the registry pass it.
+    The *only* bench-record builder (reached through
+    :func:`repro.analysis.engine.result_record`).  Total cycles,
+    machines, simulator count and the cycle attribution are lifted from
+    the result's ``derived`` block, which :func:`analytics.derive
+    <repro.obs.analytics.derive>` sums over every CPU of every machine
+    the experiment booted, so every record counts the same cycles.
+    ``spec`` supplies the registry metadata (section, variants) the
+    result itself does not carry.
     """
-    observed = list(observed)
-    derived = json_safe(
-        result.derived if getattr(result, "derived", None)
-        else analytics.derive(observed)
-    )
-    if observed:
-        machines: List[str] = []
-        for obs in observed:
-            name = obs.machine.spec.name
-            if name not in machines:
-                machines.append(name)
-        total_cycles = sum(obs.machine.clock.total for obs in observed)
-        simulators = len(observed)
-        attribution: Dict[str, int] = {}
-        for obs in observed:
-            if obs.profiler is None:
-                continue
-            for category, cycles in obs.profiler.attribution().items():
-                attribution[category] = attribution.get(category, 0) + cycles
-    else:
-        machines = list(derived.get("machines", []))
-        if not machines and spec is not None:
-            machines = spec.machine_names()
-        total_cycles = derived.get("total_cycles", 0)
-        simulators = derived.get("simulators", 0)
-        attribution = dict(derived.get("attribution", {}).get("cycles", {}))
+    derived = json_safe(result.derived)
+    machines = list(derived.get("machines", []))
+    if not machines and spec is not None:
+        machines = spec.machine_names()
     record = {
         "id": result.experiment,
         "title": result.title,
         "machine": ", ".join(machines),
         "machines": machines,
-        "simulators": simulators,
-        "total_cycles": total_cycles,
+        "simulators": derived.get("simulators", 0),
+        "total_cycles": derived.get("total_cycles", 0),
         "shape_holds": result.shape_holds,
         "measured": json_safe(result.measured),
         "paper": json_safe(result.paper),
-        "attribution": attribution,
+        "attribution": dict(derived.get("attribution", {}).get("cycles", {})),
         "derived": derived,
     }
     if spec is not None:
@@ -118,30 +88,15 @@ def dumps(record: Any) -> str:
     return json.dumps(record, indent=2, sort_keys=True) + "\n"
 
 
-# -- BENCH_results.json aggregation ----------------------------------------
-
-_RECORD_NAME = re.compile(r"^E(\d+)\.json$")
-
-
-def collect_bench_records(reports_dir: Any) -> List[Dict]:
-    """Load every per-experiment JSON record under ``reports_dir``."""
-    reports_dir = pathlib.Path(reports_dir)
-    found = []
-    for path in reports_dir.glob("E*.json"):
-        match = _RECORD_NAME.match(path.name)
-        if match is None:
-            continue
-        found.append((int(match.group(1)), json.loads(path.read_text())))
-    return [record for _number, record in sorted(found, key=lambda x: x[0])]
+# -- bench documents -----------------------------------------------------
 
 
 def bench_doc(
     records: List[Dict],
-    source: str = "benchmarks/reports/*.json "
-                  "(regenerated by the benchmark suite)",
+    source: str = "python -m repro run --bench-out",
     timings: Optional[Dict[str, float]] = None,
 ) -> Dict:
-    """The BENCH_results.json document for a list of records.
+    """The bench document for a list of records.
 
     ``records`` must already be in registry order; ``timings`` maps
     experiment id to wall seconds and is the only nondeterministic
@@ -181,7 +136,7 @@ _RECORD_ID = re.compile(r"^E\d+$")
 
 
 def validate_bench_doc(doc: Any) -> Dict[str, int]:
-    """Check a document is a well-formed BENCH_results.json.
+    """Check a document is a well-formed bench document.
 
     The bench-doc counterpart of
     :func:`repro.obs.events.validate_chrome_trace`: raises
@@ -271,17 +226,6 @@ def validate_bench_doc(doc: Any) -> Dict[str, int]:
     return counts
 
 
-def write_bench_results(
-    reports_dir: Any, out_path: Any,
-    timings: Optional[Dict[str, float]] = None
-) -> Dict:
-    """Aggregate per-experiment records into one BENCH_results.json."""
-    doc = bench_doc(collect_bench_records(reports_dir), timings=timings)
-    validate_bench_doc(doc)
-    pathlib.Path(out_path).write_text(dumps(doc))
-    return doc
-
-
 def load_bench_doc(path: Any) -> Dict:
     """Read and validate a bench artifact (the compare/report input)."""
     try:
@@ -293,11 +237,3 @@ def load_bench_doc(path: Any) -> Dict:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
     return doc
-
-
-def write_experiment_record(record: Dict, reports_dir: Any) -> pathlib.Path:
-    """Save one experiment record as ``reports_dir/<id>.json``."""
-    reports_dir = pathlib.Path(reports_dir)
-    path = reports_dir / f"{record['id']}.json"
-    path.write_text(dumps(record))
-    return path

@@ -23,9 +23,7 @@ from repro.obs import (
     disable_global_observability,
     drain_global_observed,
     enable_global_observability,
-    merge_attributions,
 )
-from repro.obs.metrics import experiment_record
 
 
 @dataclass
@@ -35,30 +33,6 @@ class ObservedExperiment:
     experiment: str
     result: ExperimentResult
     observed: List[Observability] = field(default_factory=list)
-
-    @property
-    def total_cycles(self) -> int:
-        return sum(obs.machine.clock.total for obs in self.observed)
-
-    def machines(self) -> List[str]:
-        names: List[str] = []
-        for obs in self.observed:
-            name = obs.machine.spec.name
-            if name not in names:
-                names.append(name)
-        return names
-
-    def attribution(self) -> Dict[str, int]:
-        return merge_attributions(
-            obs.profiler.attribution()
-            for obs in self.observed
-            if obs.profiler is not None
-        )
-
-    def record(self) -> Dict:
-        return experiment_record(
-            self.result, self.observed, spec=specs.SPECS[self.experiment]
-        )
 
     def chrome_trace(self) -> Dict:
         tracers = [obs.tracer for obs in self.observed if obs.tracer is not None]

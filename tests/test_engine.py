@@ -247,7 +247,7 @@ class TestBootForwarding:
     def test_boot_forwards_observability_kwargs(self):
         sim = boot(M604_185, KernelConfig.optimized(), profile=True)
         assert sim.obs is not None
-        assert sim.obs.profiler is not None
+        assert sim.obs.profilers
 
     def test_boot_forwards_sanitize(self):
         sim = boot(M604_185, KernelConfig.optimized(), sanitize=True)

@@ -380,6 +380,21 @@ def _git_rev(ref: str) -> Optional[str]:
     return sha if proc.returncode == 0 and sha else None
 
 
+def _src_dirty() -> bool:
+    """Whether the checkout's ``src/`` differs from its HEAD commit."""
+    import subprocess
+
+    try:
+        proc = subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no", "--",
+             ":/src"],
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return False
+    return proc.returncode == 0 and bool(proc.stdout.strip())
+
+
 def _cmd_bench_append(args) -> int:
     import json
 
@@ -397,8 +412,22 @@ def _cmd_bench_append(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"bench append: {args.verdict}: {exc}", file=sys.stderr)
             return 2
-    sha = args.sha if args.sha else _git_rev("HEAD")
-    parent = args.parent if args.parent else _git_rev("HEAD^")
+    # A row must name the revision it measured: HEAD is that revision
+    # only when src/ matches it.
+    if args.sha:
+        sha = args.sha
+    elif _src_dirty():
+        print("bench append: src/ has uncommitted changes, so HEAD is "
+              "not the measured revision; commit first or pass --sha",
+              file=sys.stderr)
+        return 2
+    else:
+        sha = _git_rev("HEAD")
+    if sha is None:
+        print("bench append: cannot resolve the measured revision "
+              "(not a git checkout?); pass --sha", file=sys.stderr)
+        return 2
+    parent = args.parent if args.parent else _git_rev(f"{sha}^")
     try:
         entry = history.entry_from_doc(
             doc, label=args.label, sha=sha, parent=parent, verdict=verdict
@@ -410,7 +439,7 @@ def _cmd_bench_append(args) -> int:
     summary = entry["summary"]
     print(
         f"{args.history}: entry {count} "
-        f"(label={entry['label'] or '-'}, sha={(sha or '-')[:12]}, "
+        f"(label={entry['label'] or '-'}, sha={sha[:12]}, "
         f"{summary['experiments']} experiments, "
         f"{summary['total_cycles']} cycles)"
     )
@@ -726,11 +755,12 @@ def main(argv=None) -> int:
     )
     app_parser.add_argument(
         "--sha", default=None, metavar="SHA",
-        help="git revision the run measured (default: git rev-parse HEAD)",
+        help="git revision the run measured (default: git rev-parse "
+             "HEAD, refused when src/ has uncommitted changes)",
     )
     app_parser.add_argument(
         "--parent", default=None, metavar="SHA",
-        help="parent revision (default: git rev-parse HEAD^)",
+        help="parent revision (default: the measured revision's parent)",
     )
     app_parser.add_argument(
         "--verdict", default=None, metavar="FILE",

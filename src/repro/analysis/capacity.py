@@ -12,10 +12,8 @@ The sweep document is deterministic: every point is a seeded run on a
 freshly booted simulator, and the renderer is a pure function of the
 document — ``repro capacity`` twice produces byte-identical output.
 
-``CAPACITY_POINT_FIELDS`` is a literal tuple on purpose: the
-observatory-closure lint pass reads it from the AST and checks that
-every dashboard column (``CAPACITY_COLUMNS`` of ``obs/report.py``) is
-a field the sweep actually records.
+``CAPACITY_COLUMNS`` is the one column list both renderers read: the
+text table here and the dashboard section of :mod:`repro.obs.report`.
 """
 
 from __future__ import annotations
@@ -30,9 +28,7 @@ from repro.workloads.service import service_run
 #: Schema tag of the capacity document (bump on field changes).
 CAPACITY_SCHEMA = 1
 
-#: Every field a capacity point records.  Literal tuple — the
-#: observatory-closure pass checks the dashboard's CAPACITY_COLUMNS
-#: against it.
+#: Every field a capacity point records, in the point dict's order.
 CAPACITY_POINT_FIELDS = (
     "offered_per_s",
     "throughput_per_s",
@@ -47,6 +43,19 @@ CAPACITY_POINT_FIELDS = (
     "zombie_peak",
     "zombie_mean",
     "zombie_queue_correlation",
+)
+
+#: The rendered capacity columns: (point field, text-table title,
+#: dashboard title, text-table format), in display order.
+CAPACITY_COLUMNS = (
+    ("offered_per_s", "offered/s", "offered/s", ",.0f"),
+    ("throughput_per_s", "thr/s", "throughput/s", ",.1f"),
+    ("latency_p50_us", "p50 us", "p50 (µs)", ",.1f"),
+    ("latency_p99_us", "p99 us", "p99 (µs)", ",.1f"),
+    ("latency_p999_us", "p99.9 us", "p99.9 (µs)", ",.1f"),
+    ("queue_depth_max", "qmax", "queue max", ",d"),
+    ("zombie_peak", "zpeak", "zombie peak", ",d"),
+    ("zombie_queue_correlation", "zcorr", "zombie↔queue r", "+.3f"),
 )
 
 #: Default load ladder (requests per simulated second): spans the
@@ -194,18 +203,6 @@ def knee_load(curve: Dict[str, Any],
     return None
 
 
-_TABLE_COLUMNS = (
-    ("offered_per_s", "offered/s", ",.0f"),
-    ("throughput_per_s", "thr/s", ",.1f"),
-    ("latency_p50_us", "p50 us", ",.1f"),
-    ("latency_p99_us", "p99 us", ",.1f"),
-    ("latency_p999_us", "p99.9 us", ",.1f"),
-    ("queue_depth_max", "qmax", ",d"),
-    ("zombie_peak", "zpeak", ",d"),
-    ("zombie_queue_correlation", "zcorr", "+.3f"),
-)
-
-
 def render_capacity(doc: Dict[str, Any]) -> str:
     """The sweep as an aligned text table (printed by ``repro capacity``).
 
@@ -216,12 +213,13 @@ def render_capacity(doc: Dict[str, Any]) -> str:
         f"{doc['requests']} requests/point, {doc['schedule']} arrivals, "
         f"seed {doc['seed']}"
     ]
-    header = ["strategy"] + [title for _field, title, _fmt in _TABLE_COLUMNS]
+    header = ["strategy"] + [title for _field, title, _html, _fmt
+                             in CAPACITY_COLUMNS]
     rows: List[List[str]] = [header]
     for curve in doc["curves"]:
         for point in curve["points"]:
             row = [curve["strategy"]]
-            for field, _title, fmt in _TABLE_COLUMNS:
+            for field, _title, _html, fmt in CAPACITY_COLUMNS:
                 row.append(format(point[field], fmt))
             rows.append(row)
     widths = [

@@ -164,10 +164,6 @@ class Cache:
             self._dirty.add(line_addr)
         return cycles
 
-    def touch_line(self, line_addr: int, write: bool = False) -> int:
-        """Access by line address (used by the page-visit fast path)."""
-        return self.access(line_addr * self.line_size, write=write)
-
     # -- batched kernels ---------------------------------------------------
 
     def access_page_lines(

@@ -10,9 +10,8 @@ line that introduces a violation, on every line:
 * per-file rules — determinism (unseeded randomness, wall-clock reads,
   set-iteration order), layering, the zero-perturbation observer
   contract, hook-guard discipline, error discipline;
-* closure passes — ledger categories vs the profiler taxonomy, event
-  names vs the ``obs/events.py`` registry, invariants vs the
-  ``full_sweep`` suite.
+* closure passes — ledger categories and event names vs the
+  ``obs/taxonomy.py`` tables, invariants vs the ``full_sweep`` suite.
 
 Run it with ``python -m repro lint`` (``--list-rules`` for the
 catalog).  Suppress a finding inline with

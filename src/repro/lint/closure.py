@@ -1,25 +1,28 @@
 """The cross-file closure rules.
 
-Five registries anchor runtime guarantees; these passes close them
+Registries anchor runtime guarantees; these passes close them
 statically, so deleting a registry entry (or adding an unregistered
 publisher) fails lint instead of failing — or worse, silently skewing —
 a simulator run:
 
 * every raw cycle category charged to the ledger appears in the
-  profiler's ``PATH_CATEGORIES`` taxonomy (what :class:`AttributionError`
-  polices at runtime, on the paths a run happens to exercise);
+  ``CATEGORIES`` table of ``obs/taxonomy.py`` (what
+  :class:`AttributionError` polices at runtime, on the paths a run
+  happens to exercise), and every raw category there is charged;
 * every event name published into the tracer or counted by the
-  hardware monitor appears in the ``EVENT_NAMES`` registry of
-  ``obs/events.py``;
+  hardware monitor appears in the ``EVENTS`` table of
+  ``obs/taxonomy.py``;
 * every invariant defined in ``check/invariants.py`` is registered in
   the ``full_sweep`` suite;
 * every experiment spec in the ``SPECS`` registry of
   ``analysis/specs.py`` has a benchmark consumer asserting its paper
   shape and a row in the repo's EXPERIMENTS.md table;
-* every path category in the profiler taxonomy and every event name in
-  the ``EVENT_NAMES`` registry is consumed by at least one derivation
-  in ``obs/analytics.py`` — recorded-but-never-analyzed telemetry is
-  dead weight the observatory would silently ignore.
+* the trajectory layer's remaining literal tables agree with the facts
+  they name outside the taxonomy: ledger fields with the bench-record
+  schema, host-profile groups with real package paths.
+
+Every other category or event list is derived from the taxonomy
+tables at import time, so there is no copy left to drift.
 """
 
 from __future__ import annotations
@@ -49,61 +52,56 @@ def _find_context(
     return None
 
 
+def _assigned_value(tree: ast.Module, name: str) -> Optional[ast.expr]:
+    """The value of a module-level ``NAME = ...`` assignment."""
+    for node in tree.body:
+        target: Optional[ast.expr]
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            target, value = node.target, node.value
+        else:
+            continue
+        if isinstance(target, ast.Name) and target.id == name:
+            return value
+    return None
+
+
 def _dict_literal_keys(
     tree: ast.Module, name: str
 ) -> Optional[Dict[str, ast.AST]]:
     """String keys of a module-level ``NAME = {...}`` dict literal."""
-    for node in tree.body:
-        target: Optional[ast.expr]
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            target, value = node.target, node.value
-        else:
-            continue
-        if not (isinstance(target, ast.Name) and target.id == name):
-            continue
-        if not isinstance(value, ast.Dict):
-            return None
-        out: Dict[str, ast.AST] = {}
-        for key in value.keys:
-            literal = str_const(key) if key is not None else None
-            if literal is not None:
-                out[literal] = key
-        return out
-    return None
+    value = _assigned_value(tree, name)
+    if not isinstance(value, ast.Dict):
+        return None
+    out: Dict[str, ast.AST] = {}
+    for key in value.keys:
+        literal = str_const(key) if key is not None else None
+        if literal is not None:
+            out[literal] = key
+    return out
 
 
-def _frozenset_literal(
+def _category_raws(
     tree: ast.Module, name: str
-) -> Optional[List[Tuple[str, ast.AST]]]:
-    """String elements of ``NAME = frozenset({...})`` / ``{...}``."""
-    for node in tree.body:
-        target: Optional[ast.expr]
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            target, value = node.target, node.value
-        else:
-            continue
-        if not (isinstance(target, ast.Name) and target.id == name):
-            continue
-        if (
-            isinstance(value, ast.Call)
-            and isinstance(value.func, ast.Name)
-            and value.func.id == "frozenset"
-            and len(value.args) == 1
+) -> Optional[Dict[str, ast.AST]]:
+    """Raw categories of ``NAME = {category: (colour, (raw, ...))}``."""
+    value = _assigned_value(tree, name)
+    if not isinstance(value, ast.Dict):
+        return None
+    out: Dict[str, ast.AST] = {}
+    for entry in value.values:
+        if not (
+            isinstance(entry, ast.Tuple)
+            and len(entry.elts) == 2
+            and isinstance(entry.elts[1], ast.Tuple)
         ):
-            value = value.args[0]
-        if not isinstance(value, ast.Set):
             return None
-        out = []
-        for element in value.elts:
-            literal = str_const(element)
+        for raw in entry.elts[1].elts:
+            literal = str_const(raw)
             if literal is not None:
-                out.append((literal, element))
-        return out
-    return None
+                out[literal] = raw
+    return out
 
 
 def _tuple_literal(
@@ -114,28 +112,18 @@ def _tuple_literal(
     For tuples of tuples (``KERNEL_GROUPS``-style pair tables), the
     *first* string element of each inner tuple is yielded.
     """
-    for node in tree.body:
-        target: Optional[ast.expr]
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            target, value = node.target, node.value
+    value = _assigned_value(tree, name)
+    if not isinstance(value, ast.Tuple):
+        return None
+    out: List[Tuple[str, ast.AST]] = []
+    for element in value.elts:
+        if isinstance(element, ast.Tuple) and element.elts:
+            literal = str_const(element.elts[0])
         else:
-            continue
-        if not (isinstance(target, ast.Name) and target.id == name):
-            continue
-        if not isinstance(value, ast.Tuple):
-            return None
-        out: List[Tuple[str, ast.AST]] = []
-        for element in value.elts:
-            if isinstance(element, ast.Tuple) and element.elts:
-                literal = str_const(element.elts[0])
-            else:
-                literal = str_const(element)
-            if literal is not None:
-                out.append((literal, element))
-        return out
-    return None
+            literal = str_const(element)
+        if literal is not None:
+            out.append((literal, element))
+    return out
 
 
 # -- ledger taxonomy ---------------------------------------------------------
@@ -173,12 +161,12 @@ class LedgerTaxonomyRule(ProjectRule):
     id = "ledger-taxonomy"
     description = (
         "every cycle category charged to the ledger is covered by the "
-        "profiler's PATH_CATEGORIES taxonomy (and vice versa)"
+        "CATEGORIES table of obs/taxonomy.py (and vice versa)"
     )
 
     #: File that owns the taxonomy, relative to the package root.
-    REGISTRY = "obs/profiler.py"
-    REGISTRY_NAME = "PATH_CATEGORIES"
+    REGISTRY = "obs/taxonomy.py"
+    REGISTRY_NAME = "CATEGORIES"
     #: The profiler's explicit catch-all output category.
     FALLBACK = "other"
 
@@ -200,12 +188,13 @@ class LedgerTaxonomyRule(ProjectRule):
                     f"{self.REGISTRY} defines {self.REGISTRY_NAME}",
                 )
             return
-        keys = _dict_literal_keys(registry_ctx.tree, self.REGISTRY_NAME)
+        keys = _category_raws(registry_ctx.tree, self.REGISTRY_NAME)
         if keys is None:
             report(
                 registry_ctx, registry_ctx.tree,
                 f"{self.REGISTRY_NAME} in {self.REGISTRY} must be a "
-                "literal dict of raw-category -> path-category strings",
+                "literal dict of path-category -> (colour, (raw "
+                "category, ...)) tuples",
             )
             return
         charged = set()
@@ -269,12 +258,11 @@ class EventRegistryRule(ProjectRule):
     id = "event-registry"
     description = (
         "every event name published to the tracer or monitor exists "
-        "in the EVENT_NAMES registry of obs/events.py"
+        "in the EVENTS table of obs/taxonomy.py"
     )
 
-    REGISTRY = "obs/events.py"
-    REGISTRY_NAME = "EVENT_NAMES"
-    MONITOR_FILTER = "DEFAULT_MONITOR_EVENTS"
+    REGISTRY = "obs/taxonomy.py"
+    REGISTRY_NAME = "EVENTS"
 
     def check_project(
         self, contexts: List[FileContext], report: ProjectReport
@@ -299,7 +287,7 @@ class EventRegistryRule(ProjectRule):
             report(
                 registry_ctx, registry_ctx.tree,
                 f"{self.REGISTRY_NAME} in {self.REGISTRY} must be a "
-                "literal dict of event-name -> description strings",
+                "literal dict keyed by event name",
             )
             return
         exact = {key for key in keys if not key.endswith("*")}
@@ -331,16 +319,6 @@ class EventRegistryRule(ProjectRule):
                     f"matching wildcard entry in {self.REGISTRY_NAME} "
                     "(add e.g. "
                     f"'{prefix}*')",
-                )
-        # The tracer's default monitor-event filter must itself be
-        # registered: an entry here that is not an event name is dead.
-        filtered = _frozenset_literal(registry_ctx.tree, self.MONITOR_FILTER)
-        for name, element in filtered or ():
-            if name not in exact:
-                report(
-                    registry_ctx, element,
-                    f"{self.MONITOR_FILTER} lists {name!r}, which is "
-                    f"not in {self.REGISTRY_NAME}",
                 )
 
 
@@ -502,181 +480,26 @@ class ExperimentRegistryRule(ProjectRule):
         return ids
 
 
-# -- analytics coverage ------------------------------------------------------
-
-
-def _dict_literal_values(
-    tree: ast.Module, name: str
-) -> Optional[List[Tuple[str, ast.AST]]]:
-    """String *values* of a module-level ``NAME = {...}`` dict literal."""
-    for node in tree.body:
-        target: Optional[ast.expr]
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target, value = node.targets[0], node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            target, value = node.target, node.value
-        else:
-            continue
-        if not (isinstance(target, ast.Name) and target.id == name):
-            continue
-        if not isinstance(value, ast.Dict):
-            return None
-        out: List[Tuple[str, ast.AST]] = []
-        for element in value.values:
-            literal = str_const(element)
-            if literal is not None:
-                out.append((literal, element))
-        return out
-    return None
-
-
-class AnalyticsCoverageRule(ProjectRule):
-    id = "analytics-coverage"
-    description = (
-        "every profiler path category and every EVENT_NAMES entry is "
-        "consumed by a derivation in obs/analytics.py"
-    )
-
-    TAXONOMY = "obs/profiler.py"
-    TAXONOMY_NAME = "PATH_CATEGORIES"
-    #: The profiler's catch-all category — part of the output taxonomy
-    #: even though it never appears as a dict value.
-    FALLBACK = "other"
-    EVENTS = "obs/events.py"
-    EVENTS_NAME = "EVENT_NAMES"
-    CONSUMER = "obs/analytics.py"
-
-    def check_project(
-        self, contexts: List[FileContext], report: ProjectReport
-    ) -> None:
-        taxonomy_ctx = _find_context(contexts, self.TAXONOMY)
-        events_ctx = _find_context(contexts, self.EVENTS)
-        if taxonomy_ctx is None and events_ctx is None:
-            return
-        consumer_ctx = _find_context(contexts, self.CONSUMER)
-        if consumer_ctx is None:
-            ctx = taxonomy_ctx if taxonomy_ctx is not None else events_ctx
-            if ctx is not None:
-                report(
-                    ctx, ctx.tree,
-                    f"telemetry registries exist but no {self.CONSUMER} "
-                    "derives anything from them",
-                )
-            return
-        consumed = self._consumer_literals(consumer_ctx)
-        if taxonomy_ctx is not None:
-            self._check_taxonomy(taxonomy_ctx, consumed, report)
-        if events_ctx is not None:
-            self._check_events(events_ctx, consumed, report)
-
-    def _consumer_literals(self, ctx: FileContext) -> Set[str]:
-        """Every string literal in the analytics module.
-
-        Same contract as the experiment-registry pass: any literal
-        mention counts — the rule polices that a derivation *exists*,
-        not how it computes.
-        """
-        literals: Set[str] = set()
-        for node in ast.walk(ctx.tree):
-            literal = str_const(node)
-            if literal is not None:
-                literals.add(literal)
-        return literals
-
-    def _check_taxonomy(
-        self, ctx: FileContext, consumed: Set[str], report: ProjectReport
-    ) -> None:
-        values = _dict_literal_values(ctx.tree, self.TAXONOMY_NAME)
-        if values is None:
-            return  # the ledger-taxonomy pass owns a malformed registry
-        seen: Set[str] = set()
-        for category, node in values + [(self.FALLBACK, ctx.tree)]:
-            if category in seen:
-                continue
-            seen.add(category)
-            if category not in consumed:
-                report(
-                    ctx, node,
-                    f"path category {category!r} has no derivation in "
-                    f"{self.CONSUMER}; its cycles would never surface "
-                    "in the observatory",
-                )
-
-    def _check_events(
-        self, ctx: FileContext, consumed: Set[str], report: ProjectReport
-    ) -> None:
-        keys = _dict_literal_keys(ctx.tree, self.EVENTS_NAME)
-        if keys is None:
-            return  # the event-registry pass owns a malformed registry
-        for name, node in keys.items():
-            if name in consumed:
-                continue
-            if name.endswith("*"):
-                stem = name[:-1]
-                if any(
-                    literal and literal.startswith(stem)
-                    for literal in sorted(consumed)
-                ):
-                    continue
-            report(
-                ctx, node,
-                f"event {name!r} is recorded but never consumed by a "
-                f"derivation in {self.CONSUMER}",
-            )
-
-
 # -- observatory closure -----------------------------------------------------
 
 
 class ObservatoryClosureRule(ProjectRule):
     id = "observatory-closure"
     description = (
-        "the trajectory layer's literal registries stay in sync: ledger "
-        "fields with the bench-record schema, trend/flame categories "
-        "with the profiler taxonomy and event registry, host-profile "
-        "groups with real package paths"
+        "the trajectory layer's literal tables stay in sync with what "
+        "they name: ledger fields with the bench-record schema, "
+        "host-profile groups with real package paths"
     )
 
     METRICS = "obs/metrics.py"
     HISTORY = "obs/history.py"
-    TREND = "obs/trend.py"
-    FLAME = "obs/flame.py"
     HOSTPROF = "obs/hostprof.py"
-    TAXONOMY = "obs/profiler.py"
-    EVENTS = "obs/events.py"
-    REPORT = "obs/report.py"
-    CAPACITY = "analysis/capacity.py"
-    FALLBACK = "other"
 
     def check_project(
         self, contexts: List[FileContext], report: ProjectReport
     ) -> None:
-        categories = self._registered_categories(contexts)
-        event_names = self._registered_events(contexts)
         self._check_history_fields(contexts, report)
-        self._check_trend(contexts, categories, report)
-        self._check_capacity(contexts, report)
-        self._check_flame(contexts, categories, event_names, report)
         self._check_hostprof(contexts, report)
-
-    def _registered_categories(
-        self, contexts: List[FileContext]
-    ) -> Optional[Set[str]]:
-        ctx = _find_context(contexts, self.TAXONOMY)
-        if ctx is None:
-            return None
-        values = _dict_literal_values(ctx.tree, "PATH_CATEGORIES")
-        if values is None:
-            return None  # the ledger-taxonomy pass owns the malformation
-        return {category for category, _node in values} | {self.FALLBACK}
-
-    def _registered_events(
-        self, contexts: List[FileContext]
-    ) -> Optional[Dict[str, ast.AST]]:
-        ctx = _find_context(contexts, self.EVENTS)
-        if ctx is None:
-            return None
-        return _dict_literal_keys(ctx.tree, "EVENT_NAMES")
 
     def _check_history_fields(
         self, contexts: List[FileContext], report: ProjectReport
@@ -710,134 +533,6 @@ class ObservatoryClosureRule(ProjectRule):
                     f"{self.METRICS}; entry_from_doc would KeyError on "
                     "the first real record",
                 )
-
-    def _check_trend(
-        self, contexts: List[FileContext],
-        categories: Optional[Set[str]], report: ProjectReport,
-    ) -> None:
-        trend_ctx = _find_context(contexts, self.TREND)
-        if trend_ctx is None:
-            return
-        movers = _tuple_literal(trend_ctx.tree, "MOVER_CATEGORIES")
-        if movers is None:
-            report(
-                trend_ctx, trend_ctx.tree,
-                "MOVER_CATEGORIES in obs/trend.py must be a literal "
-                "tuple of path-category names",
-            )
-        elif categories is not None:
-            for name, node in movers:
-                if name not in categories:
-                    report(
-                        trend_ctx, node,
-                        f"trend mover category {name!r} is not a "
-                        f"registered path category of {self.TAXONOMY}",
-                    )
-        history_ctx = _find_context(contexts, self.HISTORY)
-        columns = _tuple_literal(trend_ctx.tree, "HEADLINE_COLUMNS")
-        if columns is None:
-            report(
-                trend_ctx, trend_ctx.tree,
-                "HEADLINE_COLUMNS in obs/trend.py must be a literal "
-                "tuple of headline metric names",
-            )
-            return
-        if history_ctx is None:
-            return
-        fields = _tuple_literal(history_ctx.tree, "HEADLINE_FIELDS")
-        if fields is None:
-            report(
-                history_ctx, history_ctx.tree,
-                "HEADLINE_FIELDS in obs/history.py must be a literal "
-                "tuple of headline metric names",
-            )
-            return
-        known = {name for name, _node in fields}
-        for name, node in columns:
-            if name not in known:
-                report(
-                    trend_ctx, node,
-                    f"trend headline column {name!r} is not in "
-                    f"HEADLINE_FIELDS of {self.HISTORY}; the ledger "
-                    "never records it",
-                )
-
-    def _check_capacity(
-        self, contexts: List[FileContext], report: ProjectReport
-    ) -> None:
-        """Dashboard capacity columns ⊆ recorded sweep point fields."""
-        report_ctx = _find_context(contexts, self.REPORT)
-        if report_ctx is None:
-            return
-        columns = _tuple_literal(report_ctx.tree, "CAPACITY_COLUMNS")
-        if columns is None:
-            report(
-                report_ctx, report_ctx.tree,
-                "CAPACITY_COLUMNS in obs/report.py must be a literal "
-                "tuple of capacity column names",
-            )
-            return
-        capacity_ctx = _find_context(contexts, self.CAPACITY)
-        if capacity_ctx is None:
-            return
-        fields = _tuple_literal(capacity_ctx.tree, "CAPACITY_POINT_FIELDS")
-        if fields is None:
-            report(
-                capacity_ctx, capacity_ctx.tree,
-                "CAPACITY_POINT_FIELDS in analysis/capacity.py must be "
-                "a literal tuple of sweep point field names",
-            )
-            return
-        known = {name for name, _node in fields}
-        for name, node in columns:
-            if name not in known:
-                report(
-                    report_ctx, node,
-                    f"capacity dashboard column {name!r} is not in "
-                    f"CAPACITY_POINT_FIELDS of {self.CAPACITY}; the "
-                    "sweep never records it",
-                )
-
-    def _check_flame(
-        self, contexts: List[FileContext],
-        categories: Optional[Set[str]],
-        event_names: Optional[Dict[str, ast.AST]],
-        report: ProjectReport,
-    ) -> None:
-        flame_ctx = _find_context(contexts, self.FLAME)
-        if flame_ctx is None:
-            return
-        span_keys = _dict_literal_keys(flame_ctx.tree, "SPAN_CATEGORY")
-        span_values = _dict_literal_values(flame_ctx.tree, "SPAN_CATEGORY")
-        if span_keys is None or span_values is None:
-            report(
-                flame_ctx, flame_ctx.tree,
-                "SPAN_CATEGORY in obs/flame.py must be a literal dict "
-                "of span-event-name -> path-category strings",
-            )
-            return
-        if event_names is not None:
-            exact = {k for k in event_names if not k.endswith("*")}
-            wildcards = [k[:-1] for k in event_names if k.endswith("*")]
-            for name, node in span_keys.items():
-                if name in exact or any(
-                    name.startswith(stem) for stem in wildcards
-                ):
-                    continue
-                report(
-                    flame_ctx, node,
-                    f"flamegraph span {name!r} is not in the EVENT_NAMES "
-                    f"registry of {self.EVENTS}; no tracer can ever "
-                    "publish it",
-                )
-        if categories is not None:
-            for category, node in span_values:
-                if category not in categories:
-                    report(
-                        flame_ctx, node,
-                        f"flamegraph category {category!r} is not a "
-                        f"registered path category of {self.TAXONOMY}",
-                    )
 
     def _check_hostprof(
         self, contexts: List[FileContext], report: ProjectReport

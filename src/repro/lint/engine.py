@@ -42,7 +42,6 @@ ALL_RULES: List[Rule] = [
     closure.EventRegistryRule(),
     closure.InvariantRegistrationRule(),
     closure.ExperimentRegistryRule(),
-    closure.AnalyticsCoverageRule(),
     closure.ObservatoryClosureRule(),
 ]
 

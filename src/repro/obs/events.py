@@ -6,7 +6,8 @@ findable.  The :class:`EventTracer` is the software equivalent of that
 monitor's event stream: a ring-buffered bus of timestamped events that
 the machine and kernel commit points (TLB/hash miss and reload, BAT
 hits, flushes and VSID bumps, idle reclaim and preclear, context
-switches, syscall entries, page faults) publish into.
+switches, syscall entries, page faults) publish into.  Every name
+they publish is registered in :data:`repro.obs.taxonomy.EVENTS`.
 
 Zero perturbation is the design rule, mirroring ``repro.check``: an
 emit never touches the cycle ledger, the hardware monitor, or any cache
@@ -24,112 +25,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Dict, FrozenSet, Iterable, List, Optional
 
-#: The closed registry of every event name this repo may publish —
-#: tracer spans/instants/counter tracks and hardware-monitor counters.
-#: ``repro lint``'s event-registry closure pass statically checks that
-#: every ``tracer.instant/complete/counter`` and ``monitor.count``
-#: callsite uses a name listed here (entries ending in ``*`` match by
-#: prefix, for names carrying a dynamic suffix).  Keep this a literal
-#: dict: the lint pass reads it from the AST, not at runtime.
-EVENT_NAMES: Dict[str, str] = {
-    # -- tracer spans (Chrome "X" events) -------------------------------
-    "hw-walk": "604 hardware hash walk resolved a TLB miss",
-    "sw-refill": "software TLB refill through the Linux page tables",
-    "scavenge-burst": "on-miss zombie scavenge burst over the hash table",
-    "flush-page": "single-page invalidate (hash search + tlbie)",
-    "flush-range": "range invalidate by per-page hash search",
-    "flush-mm": "whole-address-space invalidate by hash search",
-    "flush-everything": "global invalidate (counter wrap / reset)",
-    "vsid-bump": "lazy context invalidate by VSID bump (section 7)",
-    "reclaim-chunk": "idle-task zombie reclaim over one hash-table chunk",
-    "idle-window": "one scheduling of the idle task",
-    "page-fault": "demand fault handled (major or minor)",
-    "shootdown-drain": "deferred remote TLB invalidations drained at ctxsw",
-    "req-queue": "service request waiting in its CPU's dispatch queue",
-    "req-run": "service request executing (exec/map/touch/compute)",
-    # -- tracer instants (Chrome "i" events) ----------------------------
-    "syscall:*": "syscall entry, suffixed with the syscall name",
-    "ctxsw": "context switch committed to a task",
-    "wakeup": "sleeping task woken",
-    "sleep": "task put to sleep until a simulated deadline",
-    "pipe-create": "pipe created",
-    "pipe-close": "pipe endpoint closed",
-    "preclear-page": "idle task pre-cleared one free page (section 9)",
-    "ipi": "inter-processor interrupt round for a TLB shootdown",
-    "req-arrival": "open-loop request accepted onto a dispatch queue",
-    "req-dispatch": "service request picked up by a worker",
-    "req-complete": "service request finished, open-loop latency known",
-    # -- tracer counter tracks (Chrome "C" events) ----------------------
-    "htab": "hash-table live/zombie occupancy curve",
-    "occupancy": "hash-table valid-entry curve",
-    "monitor": "selected hardware-monitor counter curves",
-    "queue-depth": "pending service requests per dispatch queue",
-    "vsids": "bounded top-K per-VSID hash-table population summary",
-    # -- hardware-monitor counters (republished as instants when the
-    # -- tracer's monitor filter selects them) --------------------------
-    "itlb_miss": "instruction TLB miss",
-    "dtlb_miss": "data TLB miss",
-    "tlb_miss": "TLB miss (either side)",
-    "htab_search": "hash-table search started",
-    "htab_hit": "hash-table search found the PTE",
-    "htab_miss": "hash-table search missed",
-    "htab_reload": "PTE installed into the hash table",
-    "htab_evict": "valid PTE evicted to make room",
-    "hash_miss_interrupt": "604 hash-miss trap to the kernel",
-    "sw_tlb_miss_interrupt": "603 software TLB-miss trap",
-    "bat_translation": "access translated by a BAT register",
-    "icache_miss": "instruction-cache miss",
-    "dcache_miss": "data-cache miss",
-    "page_fault_major": "major page fault (backing store)",
-    "page_fault_minor": "minor page fault (mapping only)",
-    "flush_range_search": "flush took the per-page search path",
-    "flush_range_lazy": "flush took the lazy VSID-bump path",
-    "vsid_bump": "context moved onto fresh VSIDs",
-    "zombie_reclaimed": "zombie PTE invalidated (idle task or scavenge)",
-    "pages_precleared": "free page pre-cleared onto the section-9 list",
-    "precleared_page_used": "get_free_page served a pre-cleared page",
-    "scavenge_burst": "on-miss scavenge burst ran",
-    "context_switch": "context switch",
-    "syscall": "syscall entered",
-    "ipi_sent": "shootdown IPI dispatched to a remote CPU",
-    "ipi_received": "shootdown IPI delivered on a remote CPU",
-    "shootdown_deferred": "remote invalidation queued instead of IPI'd",
-    "shootdown_drained": "deferred invalidation applied at context switch",
-    "flush_skipped_reuse": "munmap flush skipped by pooling the region",
-    "reuse_pool_hit": "mmap revived a pooled region without faulting",
-}
-
-#: Monitor events republished as trace instants by default.  The cache
-#: miss counters are excluded — they fire per cache *line* touched and
-#: would drown every other event (they are still visible as counters in
-#: the time-series samples); everything translation-shaped is kept.
-DEFAULT_MONITOR_EVENTS: FrozenSet[str] = frozenset({
-    "itlb_miss",
-    "dtlb_miss",
-    "htab_search",
-    "htab_hit",
-    "htab_miss",
-    "htab_reload",
-    "htab_evict",
-    "hash_miss_interrupt",
-    "sw_tlb_miss_interrupt",
-    "bat_translation",
-    "page_fault_major",
-    "page_fault_minor",
-    "flush_range_search",
-    "flush_range_lazy",
-    "vsid_bump",
-    "zombie_reclaimed",
-    "pages_precleared",
-    "precleared_page_used",
-    "scavenge_burst",
-    "ipi_sent",
-    "ipi_received",
-    "shootdown_deferred",
-    "shootdown_drained",
-    "flush_skipped_reuse",
-    "reuse_pool_hit",
-})
+from repro.obs.taxonomy import DEFAULT_MONITOR_EVENTS
 
 #: Default ring capacity, in events.  A full E7 run emits a few million
 #: raw events; the ring keeps the most recent window bounded.

@@ -16,38 +16,16 @@ Both are pure functions of the ring: identical runs export identical
 bytes, and exporting perturbs nothing (the contract the whole recorder
 is built on — a traced run is bit-identical to an untraced one).
 
-``SPAN_CATEGORY`` maps every span event the tracer can publish to the
-profiler's path taxonomy, so folded frames carry the same category
-names the cycle attribution uses.  It is a literal dict on purpose:
-the observatory-closure lint pass reads it from the AST and checks
-the keys against ``EVENT_NAMES`` of ``obs/events.py`` and the values
-against ``PATH_CATEGORIES`` of ``obs/profiler.py``.
+Folded frames are tagged with each span's path category from
+:data:`repro.obs.taxonomy.SPAN_CATEGORY`, so they carry the same
+category names the cycle attribution uses.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-#: Span event name -> path category (the profiler's taxonomy).  Keys
-#: must be registered span names in EVENT_NAMES; values must be
-#: registered path categories (or the "other" fallback).  Checked by
-#: ``repro lint``.
-SPAN_CATEGORY: Dict[str, str] = {
-    "hw-walk": "tlb-reload",
-    "sw-refill": "tlb-reload",
-    "scavenge-burst": "tlb-reload",
-    "flush-page": "flush",
-    "flush-range": "flush",
-    "flush-mm": "flush",
-    "flush-everything": "flush",
-    "vsid-bump": "flush",
-    "shootdown-drain": "shootdown",
-    "reclaim-chunk": "idle",
-    "idle-window": "idle",
-    "page-fault": "fault",
-    "req-queue": "service",
-    "req-run": "service",
-}
+from repro.obs.taxonomy import SPAN_CATEGORY
 
 
 class Span:

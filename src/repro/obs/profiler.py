@@ -12,52 +12,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Optional
 
-#: Raw ledger category -> path category.  Anything unlisted lands in
-#: "other", so the attribution is total by construction.
-PATH_CATEGORIES: Dict[str, str] = {
-    "user_compute": "user-compute",
-    # Memory-system traffic: the cache-modelled line touches and copies.
-    "mem": "memory",
-    "copy": "memory",
-    "prefetch": "memory",
-    # TLB/hash reload path — includes the hardware hash walk, the trap
-    # invoke costs and the software handler's table probes.
-    "tlb_reload": "tlb-reload",
-    "scavenge": "tlb-reload",
-    # Translation teardown.
-    "flush": "flush",
-    # SMP TLB-shootdown traffic: IPI send/deliver and deferred drains.
-    "shootdown": "shootdown",
-    # The idle task's three jobs.
-    "idle_reclaim": "idle",
-    "idle_spin": "idle",
-    "idle_clear": "idle",
-    # Kernel entry/exit and syscall bodies.
-    "syscall": "syscall",
-    "ipc": "syscall",
-    "fork": "syscall",
-    # Demand faulting.
-    "fault": "fault",
-    # Scheduling and the switch path.
-    "context_switch": "scheduling",
-    "sched": "scheduling",
-    "wakeup": "scheduling",
-    # File layer and disk waits.
-    "fs": "io",
-    "io_wait": "io",
-    # Page allocator work outside the idle task.
-    "palloc": "kernel-mm",
-    # Request-serving runtime bookkeeping (queue accept/dispatch).
-    "service": "service",
-}
-
-#: Stable display order for rendered breakdowns (largest concerns of the
-#: paper first); categories absent from a run are skipped.
-DISPLAY_ORDER = (
-    "user-compute", "memory", "tlb-reload", "flush", "shootdown", "idle",
-    "syscall", "fault", "scheduling", "io", "kernel-mm", "service",
-    "other",
-)
+from repro.obs.taxonomy import DISPLAY_ORDER, PATH_CATEGORIES
 
 
 class AttributionError(AssertionError):

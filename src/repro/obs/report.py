@@ -21,41 +21,11 @@ from __future__ import annotations
 import html
 from typing import Any, Dict, List, Optional
 
-from repro.obs.profiler import DISPLAY_ORDER
+from repro.analysis.capacity import CAPACITY_COLUMNS
+from repro.obs.taxonomy import CATEGORIES, DISPLAY_ORDER
 
 #: Experiments reproducing the paper's numbered tables.
 PAPER_TABLES = {"E5": "Table 1", "E6": "Table 2", "E11": "Table 3"}
-
-#: Stacked-bar palette, one color per display-order path category.
-CATEGORY_COLORS = {
-    "user-compute": "#4e79a7",
-    "memory": "#59a14f",
-    "tlb-reload": "#e15759",
-    "flush": "#f28e2b",
-    "idle": "#76b7b2",
-    "syscall": "#edc948",
-    "fault": "#b07aa1",
-    "scheduling": "#ff9da7",
-    "io": "#9c755f",
-    "kernel-mm": "#bab0ac",
-    "shootdown": "#d37295",
-    "service": "#86bcb6",
-    "other": "#d4d4d4",
-}
-
-#: Columns of the capacity-curve table, in display order.  Literal
-#: tuple — the observatory-closure pass checks every column is a
-#: recorded CAPACITY_POINT_FIELDS field of ``analysis/capacity.py``.
-CAPACITY_COLUMNS = (
-    "offered_per_s",
-    "throughput_per_s",
-    "latency_p50_us",
-    "latency_p99_us",
-    "latency_p999_us",
-    "queue_depth_max",
-    "zombie_peak",
-    "zombie_queue_correlation",
-)
 
 _CSS = """
 body { font: 14px/1.5 system-ui, sans-serif; margin: 2em auto;
@@ -96,6 +66,11 @@ def _fmt(value: Any) -> str:
     return _esc(value)
 
 
+def _colour(category: str) -> str:
+    """A path category's stacked-bar colour (the fallback's if unknown)."""
+    return CATEGORIES.get(category, CATEGORIES["other"])[0]
+
+
 # -- SVG helpers -------------------------------------------------------------
 
 
@@ -108,7 +83,7 @@ def _svg_stacked_bar(shares: Dict[str, float], width: int = 640,
     x = 0.0
     for category in ordered:
         span = shares[category] * width
-        color = CATEGORY_COLORS.get(category, "#d4d4d4")
+        color = _colour(category)
         parts.append(
             f'<rect x="{x:.2f}" y="0" width="{span:.2f}" '
             f'height="{height}" fill="{color}">'
@@ -118,7 +93,7 @@ def _svg_stacked_bar(shares: Dict[str, float], width: int = 640,
     parts.append("</svg>")
     legend = ['<div class="legend">']
     for category in ordered:
-        color = CATEGORY_COLORS.get(category, "#d4d4d4")
+        color = _colour(category)
         legend.append(
             f'<span><i class="swatch" style="background:{color}"></i>'
             f"{_esc(category)} {shares[category]:.1%}</span>"
@@ -465,18 +440,6 @@ def _trend_section(trend: Dict) -> str:
     return "".join(parts)
 
 
-_CAPACITY_TITLES = {
-    "offered_per_s": "offered/s",
-    "throughput_per_s": "throughput/s",
-    "latency_p50_us": "p50 (µs)",
-    "latency_p99_us": "p99 (µs)",
-    "latency_p999_us": "p99.9 (µs)",
-    "queue_depth_max": "queue max",
-    "zombie_peak": "zombie peak",
-    "zombie_queue_correlation": "zombie↔queue r",
-}
-
-
 def _capacity_section(capacity: Dict) -> str:
     """The request-level capacity curves: one table + p99 sparklines.
 
@@ -500,16 +463,16 @@ def _capacity_section(capacity: Dict) -> str:
     ]
     rows = ["<table><tr><th>strategy</th>"]
     rows += [
-        f"<th>{_esc(_CAPACITY_TITLES.get(column, column))}</th>"
-        for column in CAPACITY_COLUMNS
+        f"<th>{_esc(title)}</th>"
+        for _field, _text, title, _spec in CAPACITY_COLUMNS
     ]
     rows.append("</tr>")
     for curve in curves:
         for point in curve.get("points", []):
             rows.append(f"<tr><td>{_esc(curve.get('strategy', '?'))}</td>")
             rows += [
-                f"<td>{_fmt(point.get(column, ''))}</td>"
-                for column in CAPACITY_COLUMNS
+                f"<td>{_fmt(point.get(field, ''))}</td>"
+                for field, _text, _title, _spec in CAPACITY_COLUMNS
             ]
             rows.append("</tr>")
     rows.append("</table>")

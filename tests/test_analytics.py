@@ -3,17 +3,14 @@
 Two tiers: pure-function units (percentile, downsampling, histogram
 reduction) and a real observed run of a registry experiment, asserting
 the shape and internal consistency of every section of the derived
-block.  The module's literal registries are also pinned against the
-live taxonomies they mirror, so drift fails here before it fails in
-the lint closure.
+block.
 """
 
 from __future__ import annotations
 
 from repro.obs import analytics
 from repro.obs import session as obs_session
-from repro.obs.events import EVENT_NAMES
-from repro.obs.profiler import DISPLAY_ORDER, PATH_CATEGORIES
+from repro.obs import taxonomy
 from repro.perf.histogram import Histogram
 
 
@@ -115,34 +112,6 @@ class TestMergedCounts:
         assert merged == [1, 2]
 
 
-class TestRegistryMirrors:
-    """The literal registries must track the live taxonomies."""
-
-    def test_category_spans_cover_the_full_taxonomy(self):
-        expected = set(PATH_CATEGORIES.values()) | {"other"}
-        assert set(analytics.CATEGORY_SPANS) == expected
-        assert set(analytics.CATEGORY_SPANS) == set(DISPLAY_ORDER)
-
-    def test_span_events_are_registered(self):
-        for name in analytics.SPAN_EVENTS:
-            assert name in EVENT_NAMES
-
-    def test_instant_events_are_registered(self):
-        for name in analytics.INSTANT_EVENTS:
-            assert name in EVENT_NAMES
-
-    def test_drift_counters_are_registered(self):
-        for name in analytics.DRIFT_COUNTERS:
-            assert name in EVENT_NAMES
-
-    def test_category_spans_use_span_events(self):
-        for spans in analytics.CATEGORY_SPANS.values():
-            for name in spans:
-                assert name in analytics.SPAN_EVENTS
-        for name in analytics.RELOAD_SPANS:
-            assert name in analytics.SPAN_EVENTS
-
-
 class TestDerive:
     def test_empty_handles(self):
         assert analytics.derive([]) == {}
@@ -162,14 +131,14 @@ class TestDerive:
         assert abs(sum(attribution["shares"].values()) - 1.0) < 1e-3
         assert attribution["top"] in attribution["cycles"]
 
-        assert set(derived["counters"]) == set(analytics.DRIFT_COUNTERS)
+        assert set(derived["counters"]) == set(taxonomy.DRIFT_COUNTERS)
         assert derived["counters"]["context_switch"] > 0
 
         events = derived["events"]
         assert events["emitted"] > 0
-        assert set(events["instants"]) <= set(analytics.INSTANT_EVENTS)
-        assert set(derived["spans"]) <= set(analytics.SPAN_EVENTS)
-        assert set(derived["categories"]) <= set(analytics.CATEGORY_SPANS)
+        assert set(events["instants"]) <= set(taxonomy.INSTANT_EVENTS)
+        assert set(derived["spans"]) <= set(taxonomy.SPAN_EVENTS)
+        assert set(derived["categories"]) <= set(taxonomy.CATEGORY_SPANS)
 
         timeline = derived["timeline"]
         assert timeline["samples"] > 0

@@ -8,6 +8,7 @@ half the cycles the baseline holds.
 
 import json
 import pathlib
+import re
 
 from repro import __main__ as cli
 from repro.analysis import specs
@@ -75,3 +76,10 @@ def test_committed_bench_files_agree():
         row = latest["experiments"][record["id"]]
         for field in history.RECORD_FIELDS:
             assert row[field] == record[field], (record["id"], field)
+
+
+def test_committed_ledger_rows_name_distinct_revisions():
+    shas = [entry["git"]["sha"] for entry in history.load_history(HISTORY)]
+    assert all(re.fullmatch(r"[0-9a-f]{40}", sha or "") for sha in shas), \
+        shas
+    assert len(set(shas)) == len(shas), shas

@@ -367,10 +367,11 @@ class TestErrorDiscipline:
 
 
 TAXONOMY_FILES = {
-    "obs/profiler.py": """\
-        PATH_CATEGORIES = {
-            "mem": "memory",
-            "flush": "mmu",
+    "obs/taxonomy.py": """\
+        CATEGORIES = {
+            "memory": ("#59a14f", ("mem",)),
+            "mmu": ("#f28e2b", ("flush",)),
+            "other": ("#d4d4d4", ()),
         }
     """,
     "kernel/a.py": """\
@@ -411,28 +412,27 @@ class TestLedgerTaxonomy:
 
     def test_unused_taxonomy_entry_flagged(self, tmp_path):
         files = dict(TAXONOMY_FILES)
-        files["obs/profiler.py"] = """\
-            PATH_CATEGORIES = {
-                "mem": "memory",
-                "flush": "mmu",
-                "orphan": "never charged",
+        files["obs/taxonomy.py"] = """\
+            CATEGORIES = {
+                "memory": ("#59a14f", ("mem", "orphan")),
+                "mmu": ("#f28e2b", ("flush",)),
+                "other": ("#d4d4d4", ()),
             }
         """
         result = run_lint(tmp_path, files,
                           rules=single_rule("ledger-taxonomy"))
         (finding,) = result.findings
-        assert finding.path == "obs/profiler.py"
+        assert finding.path == "obs/taxonomy.py"
         assert "'orphan'" in finding.message
 
 
 EVENT_FILES = {
-    "obs/events.py": """\
-        EVENT_NAMES = {
-            "ctxsw": "context switch",
-            "syscall:*": "syscall entry",
-            "tlb_miss": "tlb miss",
+    "obs/taxonomy.py": """\
+        EVENTS = {
+            "ctxsw": ("instant", None, False, "context switch"),
+            "syscall:*": ("instant", None, False, "syscall entry"),
+            "tlb_miss": ("monitor", None, True, "tlb miss"),
         }
-        DEFAULT_MONITOR_EVENTS = frozenset({"tlb_miss"})
     """,
     "kernel/a.py": """\
         def publish(machine, name):
@@ -461,6 +461,18 @@ class TestEventRegistry:
         assert (finding.path, finding.line) == ("kernel/b.py", 2)
         assert "'mystery'" in finding.message
 
+    def test_unregistered_monitor_count_flagged(self, tmp_path):
+        files = dict(EVENT_FILES)
+        files["hw/b.py"] = """\
+            def count(machine):
+                machine.monitor.count("l3_miss")
+        """
+        result = run_lint(tmp_path, files,
+                          rules=single_rule("event-registry"))
+        (finding,) = result.findings
+        assert (finding.path, finding.line) == ("hw/b.py", 2)
+        assert "'l3_miss'" in finding.message
+
     def test_fstring_without_wildcard_flagged(self, tmp_path):
         files = dict(EVENT_FILES)
         files["kernel/b.py"] = """\
@@ -470,22 +482,6 @@ class TestEventRegistry:
         result = run_lint(tmp_path, files,
                           rules=single_rule("event-registry"))
         assert ["irq:" in f.message for f in result.findings] == [True]
-
-    def test_monitor_filter_must_be_registered(self, tmp_path):
-        files = dict(EVENT_FILES)
-        files["obs/events.py"] = """\
-            EVENT_NAMES = {
-                "ctxsw": "context switch",
-                "syscall:*": "syscall entry",
-                "tlb_miss": "tlb miss",
-            }
-            DEFAULT_MONITOR_EVENTS = frozenset({"tlb_miss", "ghost"})
-        """
-        result = run_lint(tmp_path, files,
-                          rules=single_rule("event-registry"))
-        (finding,) = result.findings
-        assert finding.path == "obs/events.py"
-        assert "'ghost'" in finding.message
 
 
 class TestInvariantRegistration:
@@ -515,152 +511,17 @@ class TestInvariantRegistration:
         assert "check_htab" in finding.message
 
 
-ANALYTICS_FILES = {
-    "obs/profiler.py": """\
-        PATH_CATEGORIES = {
-            "mem": "memory",
-            "flush": "mmu",
-        }
-    """,
-    "obs/events.py": """\
-        EVENT_NAMES = {
-            "ctxsw": "context switch",
-            "syscall:*": "syscall entry",
-        }
-    """,
-    "obs/analytics.py": """\
-        CATEGORY_SPANS = {
-            "memory": ("ctxsw",),
-            "mmu": (),
-            "other": (),
-        }
-        INSTANT_EVENTS = ("syscall:*",)
-    """,
-}
-
-
-class TestAnalyticsCoverage:
-    def test_fully_consumed_registries_clean(self, tmp_path):
-        result = run_lint(tmp_path, dict(ANALYTICS_FILES),
-                          rules=single_rule("analytics-coverage"))
-        assert result.findings == []
-
-    def test_missing_consumer_module_flagged(self, tmp_path):
-        files = dict(ANALYTICS_FILES)
-        del files["obs/analytics.py"]
-        result = run_lint(tmp_path, files,
-                          rules=single_rule("analytics-coverage"))
-        (finding,) = result.findings
-        assert "obs/analytics.py" in finding.message
-
-    def test_unconsumed_path_category_flagged(self, tmp_path):
-        files = dict(ANALYTICS_FILES)
-        files["obs/profiler.py"] = """\
-            PATH_CATEGORIES = {
-                "mem": "memory",
-                "flush": "mmu",
-                "dark": "unplotted",
-            }
-        """
-        result = run_lint(tmp_path, files,
-                          rules=single_rule("analytics-coverage"))
-        (finding,) = result.findings
-        assert finding.path == "obs/profiler.py"
-        assert "'unplotted'" in finding.message
-
-    def test_unconsumed_fallback_category_flagged(self, tmp_path):
-        files = dict(ANALYTICS_FILES)
-        files["obs/analytics.py"] = """\
-            CATEGORY_SPANS = {
-                "memory": ("ctxsw",),
-                "mmu": (),
-            }
-            INSTANT_EVENTS = ("syscall:*",)
-        """
-        result = run_lint(tmp_path, files,
-                          rules=single_rule("analytics-coverage"))
-        (finding,) = result.findings
-        assert "'other'" in finding.message
-
-    def test_unconsumed_event_flagged(self, tmp_path):
-        files = dict(ANALYTICS_FILES)
-        files["obs/events.py"] = """\
-            EVENT_NAMES = {
-                "ctxsw": "context switch",
-                "syscall:*": "syscall entry",
-                "ghost": "recorded, never derived",
-            }
-        """
-        result = run_lint(tmp_path, files,
-                          rules=single_rule("analytics-coverage"))
-        (finding,) = result.findings
-        assert finding.path == "obs/events.py"
-        assert "'ghost'" in finding.message
-
-    def test_wildcard_satisfied_by_prefixed_literal(self, tmp_path):
-        files = dict(ANALYTICS_FILES)
-        files["obs/analytics.py"] = """\
-            CATEGORY_SPANS = {
-                "memory": ("ctxsw",),
-                "mmu": (),
-                "other": (),
-            }
-            INSTANT_EVENTS = ("syscall:fork",)
-        """
-        result = run_lint(tmp_path, files,
-                          rules=single_rule("analytics-coverage"))
-        assert result.findings == []
-
-    def test_no_registries_no_findings(self, tmp_path):
-        result = run_lint(tmp_path, {"kernel/a.py": "x = 1\n"},
-                          rules=single_rule("analytics-coverage"))
-        assert result.findings == []
-
-
 OBSERVATORY_FILES = {
     "obs/metrics.py": """\
         RECORD_REQUIRED = ("id", "total_cycles", "attribution")
     """,
     "obs/history.py": """\
         RECORD_FIELDS = ("total_cycles", "attribution")
-        HEADLINE_FIELDS = ("top_category", "tlb_miss")
-    """,
-    "obs/trend.py": """\
-        MOVER_CATEGORIES = ("memory", "mmu", "other")
-        HEADLINE_COLUMNS = ("top_category",)
-    """,
-    "obs/profiler.py": """\
-        PATH_CATEGORIES = {
-            "mem": "memory",
-            "flush": "mmu",
-        }
-    """,
-    "obs/events.py": """\
-        EVENT_NAMES = {
-            "hw-walk": "hardware walk span",
-            "syscall:*": "syscall entry",
-        }
-    """,
-    "obs/flame.py": """\
-        SPAN_CATEGORY = {
-            "hw-walk": "memory",
-            "syscall:fork": "other",
-        }
     """,
     "obs/hostprof.py": """\
         KERNEL_GROUPS = (
             ("repro/obs/metrics.py", "metrics"),
             ("repro/obs/", "obs"),
-        )
-    """,
-    "obs/report.py": """\
-        CAPACITY_COLUMNS = ("offered_per_s", "latency_p99_us")
-    """,
-    "analysis/capacity.py": """\
-        CAPACITY_POINT_FIELDS = (
-            "offered_per_s",
-            "throughput_per_s",
-            "latency_p99_us",
         )
     """,
 }
@@ -676,117 +537,12 @@ class TestObservatoryClosure:
         files = dict(OBSERVATORY_FILES)
         files["obs/history.py"] = """\
             RECORD_FIELDS = ("total_cycles", "wall_seconds")
-            HEADLINE_FIELDS = ("top_category", "tlb_miss")
         """
         result = run_lint(tmp_path, files,
                           rules=single_rule("observatory-closure"))
         (finding,) = result.findings
         assert finding.path == "obs/history.py"
         assert "'wall_seconds'" in finding.message
-
-    def test_unregistered_mover_category_flagged(self, tmp_path):
-        files = dict(OBSERVATORY_FILES)
-        files["obs/trend.py"] = """\
-            MOVER_CATEGORIES = ("memory", "unplotted")
-            HEADLINE_COLUMNS = ("top_category",)
-        """
-        result = run_lint(tmp_path, files,
-                          rules=single_rule("observatory-closure"))
-        (finding,) = result.findings
-        assert finding.path == "obs/trend.py"
-        assert "'unplotted'" in finding.message
-
-    def test_unrecorded_headline_column_flagged(self, tmp_path):
-        files = dict(OBSERVATORY_FILES)
-        files["obs/trend.py"] = """\
-            MOVER_CATEGORIES = ("memory",)
-            HEADLINE_COLUMNS = ("top_category", "reload_p42")
-        """
-        result = run_lint(tmp_path, files,
-                          rules=single_rule("observatory-closure"))
-        (finding,) = result.findings
-        assert "'reload_p42'" in finding.message
-        assert "HEADLINE_FIELDS" in finding.message
-
-    def test_unrecorded_capacity_column_flagged(self, tmp_path):
-        files = dict(OBSERVATORY_FILES)
-        files["obs/report.py"] = """\
-            CAPACITY_COLUMNS = ("offered_per_s", "zombie_peak")
-        """
-        result = run_lint(tmp_path, files,
-                          rules=single_rule("observatory-closure"))
-        (finding,) = result.findings
-        assert finding.path == "obs/report.py"
-        assert "'zombie_peak'" in finding.message
-        assert "CAPACITY_POINT_FIELDS" in finding.message
-
-    def test_nonliteral_capacity_columns_flagged(self, tmp_path):
-        files = dict(OBSERVATORY_FILES)
-        files["obs/report.py"] = """\
-            CAPACITY_COLUMNS = tuple(["offered_per_s"])
-        """
-        result = run_lint(tmp_path, files,
-                          rules=single_rule("observatory-closure"))
-        (finding,) = result.findings
-        assert finding.path == "obs/report.py"
-        assert "literal tuple" in finding.message
-
-    def test_nonliteral_capacity_fields_flagged(self, tmp_path):
-        files = dict(OBSERVATORY_FILES)
-        files["analysis/capacity.py"] = """\
-            _BASE = ["offered_per_s"]
-            CAPACITY_POINT_FIELDS = tuple(_BASE)
-        """
-        result = run_lint(tmp_path, files,
-                          rules=single_rule("observatory-closure"))
-        (finding,) = result.findings
-        assert finding.path == "analysis/capacity.py"
-        assert "literal tuple" in finding.message
-
-    def test_capacity_module_absent_is_clean(self, tmp_path):
-        # The dashboard can exist before the sweep driver does; the
-        # subset check only engages once both registries are present.
-        files = dict(OBSERVATORY_FILES)
-        del files["analysis/capacity.py"]
-        result = run_lint(tmp_path, files,
-                          rules=single_rule("observatory-closure"))
-        assert result.findings == []
-
-    def test_unregistered_flame_span_flagged(self, tmp_path):
-        files = dict(OBSERVATORY_FILES)
-        files["obs/flame.py"] = """\
-            SPAN_CATEGORY = {
-                "ghost-span": "memory",
-            }
-        """
-        result = run_lint(tmp_path, files,
-                          rules=single_rule("observatory-closure"))
-        (finding,) = result.findings
-        assert finding.path == "obs/flame.py"
-        assert "'ghost-span'" in finding.message
-
-    def test_wildcard_satisfies_flame_span(self, tmp_path):
-        files = dict(OBSERVATORY_FILES)
-        files["obs/flame.py"] = """\
-            SPAN_CATEGORY = {
-                "syscall:pipe": "other",
-            }
-        """
-        result = run_lint(tmp_path, files,
-                          rules=single_rule("observatory-closure"))
-        assert result.findings == []
-
-    def test_unregistered_flame_category_flagged(self, tmp_path):
-        files = dict(OBSERVATORY_FILES)
-        files["obs/flame.py"] = """\
-            SPAN_CATEGORY = {
-                "hw-walk": "unplotted",
-            }
-        """
-        result = run_lint(tmp_path, files,
-                          rules=single_rule("observatory-closure"))
-        (finding,) = result.findings
-        assert "'unplotted'" in finding.message
 
     def test_stale_hostprof_path_flagged(self, tmp_path):
         files = dict(OBSERVATORY_FILES)
@@ -806,7 +562,6 @@ class TestObservatoryClosure:
         files = dict(OBSERVATORY_FILES)
         files["obs/history.py"] = """\
             RECORD_FIELDS = tuple(["total_cycles"])
-            HEADLINE_FIELDS = ("top_category", "tlb_miss")
         """
         result = run_lint(tmp_path, files,
                           rules=single_rule("observatory-closure"))
@@ -1042,7 +797,7 @@ class TestMutations:
 
     def test_deleting_taxonomy_entry_fires(self, tmp_path):
         def mutate(root):
-            path = root / "obs/profiler.py"
+            path = root / "obs/taxonomy.py"
             source = path.read_text()
             mutated = re.sub(r'\s*"flush": .*\n', "\n", source, count=1)
             assert mutated != source
@@ -1050,25 +805,22 @@ class TestMutations:
 
         result = LintEngine(mutated_package(tmp_path, mutate)).run()
         rules = {f.rule for f in result.findings}
-        # The trend/flame registries consume the category, so the
-        # observatory pass flags the orphaned consumers too.
-        assert rules == {"ledger-taxonomy", "observatory-closure"}
+        assert rules == {"ledger-taxonomy"}
         assert any("'flush'" in f.message for f in result.findings)
 
     def test_deleting_event_registry_entry_fires(self, tmp_path):
         def mutate(root):
-            path = root / "obs/events.py"
+            path = root / "obs/taxonomy.py"
             source = path.read_text()
-            mutated = re.sub(r'\s*"vsid-bump": .*\n', "\n", source,
-                             count=1)
+            # The entry spans two lines: up to its description's "),
+            mutated = re.sub(r'\n\s*"vsid-bump":.*?"\),\n', "\n", source,
+                             count=1, flags=re.S)
             assert mutated != source
             path.write_text(mutated)
 
         result = LintEngine(mutated_package(tmp_path, mutate)).run()
         rules = {f.rule for f in result.findings}
-        # The flamegraph span table references the event, so the
-        # observatory pass flags the orphaned SPAN_CATEGORY key too.
-        assert rules == {"event-registry", "observatory-closure"}
+        assert rules == {"event-registry"}
         assert any("'vsid-bump'" in f.message for f in result.findings)
 
     def test_deleting_bench_consumer_fires(self, tmp_path):
@@ -1100,36 +852,6 @@ class TestMutations:
             for f in result.findings
         )
 
-    def test_adding_event_without_derivation_fires(self, tmp_path):
-        def mutate(root):
-            path = root / "obs/events.py"
-            source = path.read_text()
-            mutated = source.replace(
-                '"ctxsw":',
-                '"ghost-span": "a span nobody derives",\n    "ctxsw":',
-                1,
-            )
-            assert mutated != source
-            path.write_text(mutated)
-
-        result = LintEngine(mutated_package(tmp_path, mutate)).run()
-        rules = {f.rule for f in result.findings}
-        assert rules == {"analytics-coverage"}
-        assert any("'ghost-span'" in f.message for f in result.findings)
-
-    def test_deleting_analytics_literal_fires(self, tmp_path):
-        def mutate(root):
-            path = root / "obs/analytics.py"
-            source = path.read_text()
-            mutated = re.sub(r'\s*"pipe-create",\n', "\n", source, count=1)
-            assert mutated != source
-            path.write_text(mutated)
-
-        result = LintEngine(mutated_package(tmp_path, mutate)).run()
-        rules = {f.rule for f in result.findings}
-        assert rules == {"analytics-coverage"}
-        assert any("'pipe-create'" in f.message for f in result.findings)
-
     def test_adding_unknown_ledger_field_fires(self, tmp_path):
         def mutate(root):
             path = root / "obs/history.py"
@@ -1150,22 +872,6 @@ class TestMutations:
             for f in result.findings
         )
 
-    def test_renaming_flame_span_fires(self, tmp_path):
-        def mutate(root):
-            path = root / "obs/flame.py"
-            source = path.read_text()
-            mutated = source.replace('"hw-walk":', '"hw-walk-x":', 1)
-            assert mutated != source
-            path.write_text(mutated)
-
-        result = LintEngine(mutated_package(tmp_path, mutate)).run()
-        rules = {f.rule for f in result.findings}
-        assert rules == {"observatory-closure"}
-        assert any(
-            "'hw-walk-x'" in f.message and "EVENT_NAMES" in f.message
-            for f in result.findings
-        )
-
     def test_breaking_hostprof_path_fires(self, tmp_path):
         def mutate(root):
             path = root / "obs/hostprof.py"
@@ -1181,30 +887,6 @@ class TestMutations:
         assert rules == {"observatory-closure"}
         assert any(
             "'repro/hw/tlb_legacy.py'" in f.message
-            for f in result.findings
-        )
-
-    def test_adding_taxonomy_value_without_derivation_fires(self, tmp_path):
-        def mutate(root):
-            path = root / "obs/profiler.py"
-            source = path.read_text()
-            mutated = source.replace(
-                "PATH_CATEGORIES: Dict[str, str] = {",
-                'PATH_CATEGORIES: Dict[str, str] = {\n'
-                '    "ghost-raw": "ghost-cat",',
-                1,
-            )
-            assert mutated != source
-            path.write_text(mutated)
-
-        result = LintEngine(mutated_package(tmp_path, mutate)).run()
-        # The unconsumed value trips the analytics closure; the unused
-        # key additionally trips the ledger-taxonomy closure.
-        rules = {f.rule for f in result.findings}
-        assert "analytics-coverage" in rules
-        assert rules <= {"analytics-coverage", "ledger-taxonomy"}
-        assert any(
-            f.rule == "analytics-coverage" and "'ghost-cat'" in f.message
             for f in result.findings
         )
 

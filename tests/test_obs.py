@@ -23,18 +23,17 @@ from repro.kernel.config import KernelConfig
 from repro.obs import metrics
 from repro.obs import session as obs_session
 from repro.obs.events import (
-    DEFAULT_MONITOR_EVENTS,
     EventTracer,
     TraceConfig,
     chrome_trace,
     validate_chrome_trace,
 )
 from repro.obs.profiler import (
-    PATH_CATEGORIES,
     CycleProfiler,
     merge_attributions,
     render_attribution,
 )
+from repro.obs.taxonomy import DEFAULT_MONITOR_EVENTS, PATH_CATEGORIES
 from repro.params import M603_133, M604_185
 from repro.sim.simulator import Simulator, boot
 

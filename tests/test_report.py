@@ -12,6 +12,7 @@ import json
 import subprocess
 import sys
 
+from repro.analysis import capacity
 from repro.obs import history, report, trend
 from repro.obs.metrics import BENCH_SCHEMA
 
@@ -220,8 +221,7 @@ class TestCapacitySection:
         html = report.render_report(
             fixture_doc(), capacity=fixture_capacity()
         )
-        for column in report.CAPACITY_COLUMNS:
-            title = report._CAPACITY_TITLES[column]
+        for _field, _text, title, _spec in capacity.CAPACITY_COLUMNS:
             assert title in html or title.replace("↔", "&harr;") in html
 
     def test_capacity_report_is_deterministic(self):

@@ -1,6 +1,7 @@
 """Tests for the per-PR trend analytics (``obs/trend.py``)."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -91,6 +92,19 @@ class TestStep:
             {"category": "tlb-reload", "old": 600, "new": 400, "delta": -200},
         ]
 
+    def test_tied_category_movers_follow_display_order(self):
+        old = ledger_entry(
+            [bench_record("E1", 1000, {"service": 400, "other": 600})],
+            {"E1": 1.0}, label="before",
+        )
+        new = ledger_entry(
+            [bench_record("E1", 1200, {"service": 500, "other": 700})],
+            {"E1": 1.0}, label="after",
+        )
+        change = trend.step(old, new)
+        assert [mover["category"] for mover in change["category_movers"]] \
+            == ["service", "other"]
+
     def test_movers_ranked_by_magnitude_then_id(self, entries):
         change = trend.step(entries[1], entries[2])
         assert change["movers"] == [{"id": "E2", "delta": 200}]
@@ -127,7 +141,7 @@ class TestStep:
     def test_headline_columns_carried(self, entries):
         change = trend.step(entries[0], entries[1])
         headline = change["experiments"]["E1"]["headline"]
-        assert set(headline) == set(trend.HEADLINE_COLUMNS)
+        assert set(headline) == set(history.HEADLINE_FIELDS)
         assert headline["top_category"] == {
             "old": "tlb-reload", "new": "tlb-reload",
         }
@@ -269,6 +283,46 @@ class TestCli:
                          "--history", str(ledger)]) == 2
         assert "bench append:" in capsys.readouterr().err
         assert not ledger.exists()
+
+    def append_without_sha(self, tmp_path, capsys):
+        """Exit code of an append with no --sha from ``tmp_path``, after
+        checking it left an existing one-row ledger byte-identical."""
+        ledger = tmp_path / "BENCH_history.jsonl"
+        results = self.write_doc(tmp_path, "r.json", 1000)
+        assert cli.main(["bench", "append", str(results), "--history",
+                         str(ledger), "--sha", "abc"]) == 0
+        before = ledger.read_bytes()
+        code = cli.main(["bench", "append", str(results), "--history",
+                         str(ledger)])
+        assert ledger.read_bytes() == before
+        assert "--sha" in capsys.readouterr().err
+        return code
+
+    def test_append_outside_a_git_checkout_is_refused(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+        assert self.append_without_sha(tmp_path, capsys) == 2
+
+    def test_append_with_uncommitted_src_is_refused(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def git(*argv):
+            subprocess.run(
+                ["git", "-c", "user.name=t", "-c", "user.email=t@t", *argv],
+                cwd=tmp_path, check=True, capture_output=True,
+            )
+
+        source = tmp_path / "src" / "a.py"
+        source.parent.mkdir()
+        source.write_text("x = 1\n")
+        git("init", "-q")
+        git("add", "src")
+        git("commit", "-q", "-m", "seed")
+        source.write_text("x = 2\n")
+        monkeypatch.chdir(tmp_path)
+        assert self.append_without_sha(tmp_path, capsys) == 2
 
     def test_trend_missing_ledger_is_an_error(self, tmp_path, capsys):
         assert cli.main(["trend", "--history",

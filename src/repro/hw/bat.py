@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigError
+from repro.hw.pte import WIMG_CACHE_INHIBIT
 from repro.params import BAT_MAX_BLOCK, BAT_MIN_BLOCK, NUM_DBATS, NUM_IBATS
 
 #: EAs are compared against BEPI above this bit.
@@ -88,6 +89,10 @@ class BatRegister:
     @property
     def size_bytes(self) -> int:
         return (self.bl + 1) * BAT_MIN_BLOCK
+
+    @property
+    def cache_inhibited(self) -> bool:
+        return bool(self.wimg & WIMG_CACHE_INHIBIT)
 
     def matches(self, ea: int) -> bool:
         """Architected compare: EA high bits equal BEPI outside the BL mask."""

@@ -5,6 +5,7 @@ import pytest
 from repro.hw.machine import MachineModel
 from repro.hw.tlb import TlbEntry
 from repro.kernel.config import KernelConfig
+from repro.kernel.kernel import IO_BASE_EA
 from repro.params import KERNELBASE, M604_185
 from repro.sim.simulator import Simulator
 
@@ -61,3 +62,19 @@ class TestSwitchPathIntegration:
         first = sim.kernel.spawn("a")
         sim.kernel.switch_to(first)
         assert sim.breakdown().get("prefetch", 0) == 0
+
+
+class TestInhibitedBat:
+    def test_prefetch_through_cache_inhibited_bat_is_dropped(self):
+        config = KernelConfig.optimized().with_changes(bat_io_map=True)
+        machine = Simulator(M604_185, config).machine
+        assert machine.translate(IO_BASE_EA).cache_inhibited
+        resident = len(machine.dcache)
+        misses = machine.dcache.stats.misses
+        before = machine.clock.total
+        assert machine.prefetch_page_lines(IO_BASE_EA, lines=4) == 2
+        # Issue cost only, and nothing allocated: the touch may not
+        # cache inhibited memory.
+        assert machine.clock.total - before == 2
+        assert len(machine.dcache) == resident
+        assert machine.dcache.stats.misses == misses

@@ -193,7 +193,10 @@ class Sanitizer:
         check_allocator(self.kernel, self._record)
 
     def after_reclaim_slot(self, flat: int, pte) -> None:
-        """The idle task reclaimed one slot: it must be a dead zombie."""
+        """A zombie sweep reclaimed one slot: it must be a dead zombie.
+
+        Runs for the idle task's reclaim and the on-demand scavenge alike.
+        """
         if pte.valid:
             self._record(
                 "reclaim-left-valid",
@@ -202,7 +205,7 @@ class Sanitizer:
         if self.kernel.vsid_allocator.is_live(pte.vsid):
             self._record(
                 "reclaim-reclaimed-live",
-                f"idle reclaim invalidated live vsid={pte.vsid:#x} "
+                f"zombie sweep invalidated live vsid={pte.vsid:#x} "
                 f"page_index={pte.page_index:#x} (slot {flat})",
             )
 

@@ -27,17 +27,21 @@ of per-object scans.  Callers that need a PTE *object* (the machine's
 reference/changed updates, the sanitizer, the analytics derivations) get
 a :class:`PteView` — a thin live view whose attribute writes go straight
 back into the arrays, preserving the old ``HashPte`` write-through
-semantics.  The ``*_counted`` variants additionally report which PTEG
-slots were examined so the hardware walker can charge its per-probe
-cache accesses in one batched run per bucket.
+semantics.
+
+Each table operation has one implementation: :meth:`search`,
+:meth:`insert` and :meth:`invalidate_entry` report the PTEG slots they
+examined as ``(group_index, slots_examined)`` probe runs on the result,
+and the hardware walker charges its per-probe cache accesses from those
+runs, one batched run per bucket.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.hw.pte import HashPte, WIMG_CACHE_INHIBIT, pte_api
+from repro.hw.pte import HashPte, WIMG_CACHE_INHIBIT
 from repro.params import HTAB_GROUPS, PAGE_INDEX_MASK, PTES_PER_GROUP
 
 _HASH_MASK_19 = (1 << 19) - 1
@@ -136,26 +140,8 @@ class PteView:
         return self._table._pp[self._flat]
 
     @property
-    def api(self) -> int:
-        return pte_api(self.page_index)
-
-    @property
     def cache_inhibited(self) -> bool:
         return bool(self._table._wimg[self._flat] & WIMG_CACHE_INHIBIT)
-
-    def matches(self, vsid: int, page_index: int, secondary: bool) -> bool:
-        """Hardware tag compare: V, VSID, H and API must all match."""
-        table = self._table
-        flat = self._flat
-        return (
-            bool(table._valid[flat])
-            and table._key[flat] == ((vsid << _KEY_PAGE_BITS) | page_index)
-            and bool(table._sec[flat]) == secondary
-        )
-
-    def snapshot(self) -> HashPte:
-        """A detached :class:`HashPte` copy of this slot's current state."""
-        return self._table._snapshot(self._flat)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -168,15 +154,16 @@ class PteView:
 class PtegSearchResult:
     """Outcome of a hash-table search for one virtual page."""
 
-    __slots__ = ("pte", "mem_refs", "buckets_probed")
+    __slots__ = ("pte", "mem_refs", "probes")
 
-    def __init__(self, pte, mem_refs: int, buckets_probed: int):
+    def __init__(self, pte, mem_refs: int, probes: List[Tuple[int, int]]):
         self.pte = pte
         #: Memory references the hardware (or software emulating it) made:
         #: PTEs examined across the probed bucket(s).
         self.mem_refs = mem_refs
-        #: Buckets probed (1 if found in primary without secondary probe).
-        self.buckets_probed = buckets_probed
+        #: ``(group_index, slots_examined)`` per bucket probed, in probe
+        #: order: the consecutive slot prefix of each PTEG the search read.
+        self.probes = probes
 
     @property
     def found(self) -> bool:
@@ -283,105 +270,61 @@ class HashedPageTable:
         self._wimg[flat] = pte.wimg & 0xF
         self._pp[flat] = pte.pp & 0x3
 
-    def _find_in_group(self, group_index: int, key: int, secondary: int):
-        """First matching valid slot in one PTEG.
+    # -- the hardware search (and its software emulation) --------------------
 
-        Returns ``(flat, examined)``; ``flat`` is -1 on a miss, in which
-        case the whole group (``ptes_per_group`` slots) was examined —
-        the paper's per-bucket worst case.
+    def _lookup(self, vsid: int, page_index: int):
+        """Primary-then-secondary PTEG search for a matching valid PTE.
+
+        Returns ``(flat, mem_refs, probes)``: the matching slot (-1 on a
+        miss), one memory reference per PTE examined, and the
+        ``(group_index, slots_examined)`` run of each bucket probed.  A
+        bucket with no match was examined whole — the paper's
+        per-bucket worst case.  Touches no counters.
         """
-        ppg = self.ptes_per_group
-        base = group_index * ppg
-        end = base + ppg
+        key = (vsid << _KEY_PAGE_BITS) | page_index
         keys = self._key
         valid = self._valid
         sec = self._sec
-        pos = base
-        while True:
-            try:
-                pos = keys.index(key, pos, end)
-            except ValueError:
-                return -1, ppg
-            if valid[pos] and sec[pos] == secondary:
-                return pos, pos - base + 1
-            pos += 1
-
-    # -- the hardware search (and its software emulation) --------------------
-
-    def search_counted(self, vsid: int, page_index: int):
-        """Probe primary then secondary bucket, reporting probe runs.
-
-        Returns ``(result, probes)`` where ``probes`` is a list of
-        ``(group_index, slots_examined)`` pairs — the consecutive slot
-        prefix of each PTEG the search touched, in probe order.  The
-        walker uses the runs to charge its per-probe cache accesses in
-        batches; ``result`` is identical to :meth:`search`.
-        """
-        self.searches += 1
-        key = (vsid << _KEY_PAGE_BITS) | page_index
+        ppg = self.ptes_per_group
         mem_refs = 0
         probes = []
-        for secondary in (0, 1):
-            group_index = self.group_index(vsid, page_index, bool(secondary))
-            flat, examined = self._find_in_group(group_index, key, secondary)
+        for secondary in (False, True):
+            group_index = self.group_index(vsid, page_index, secondary)
+            base = group_index * ppg
+            end = base + ppg
+            pos = base
+            try:
+                while True:
+                    pos = keys.index(key, pos, end)
+                    if valid[pos] and sec[pos] == secondary:
+                        break
+                    pos += 1
+            except ValueError:
+                mem_refs += ppg
+                probes.append((group_index, ppg))
+                continue
+            examined = pos - base + 1
             mem_refs += examined
             probes.append((group_index, examined))
-            if flat >= 0:
-                self.search_hits += 1
-                result = PtegSearchResult(
-                    pte=PteView(self, flat),
-                    mem_refs=mem_refs,
-                    buckets_probed=1 + secondary,
-                )
-                return result, probes
-        primary_group = self.group_index(vsid, page_index, False)
-        self.bucket_miss_histogram[primary_group] += 1
-        return (
-            PtegSearchResult(pte=None, mem_refs=mem_refs, buckets_probed=2),
-            probes,
-        )
+            return pos, mem_refs, probes
+        return -1, mem_refs, probes
 
-    def search(self, vsid: int, page_index: int, probe=None) -> PtegSearchResult:
+    def search(self, vsid: int, page_index: int) -> PtegSearchResult:
         """Probe primary then secondary bucket for a matching valid PTE.
 
         Accounts one memory reference per PTE examined, the way the paper
-        counts the 16-reference worst case.  ``probe(group, slot)``, if
-        given, is invoked for every PTE examined so callers (the hardware
-        walker, the software miss handlers) can charge cache costs per
-        probe.
+        counts the 16-reference worst case, and reports the probe runs
+        so the walker can charge each bucket's cache accesses in one
+        batch.  A miss in both buckets counts against the primary
+        bucket's miss histogram.
         """
-        if probe is None:
-            result, _ = self.search_counted(vsid, page_index)
-            return result
         self.searches += 1
-        key = (vsid << _KEY_PAGE_BITS) | page_index
-        keys = self._key
-        valid = self._valid
-        sec = self._sec
-        ppg = self.ptes_per_group
-        mem_refs = 0
-        for secondary in (0, 1):
-            group_index = self.group_index(vsid, page_index, bool(secondary))
-            base = group_index * ppg
-            for slot in range(ppg):
-                mem_refs += 1
-                probe(group_index, slot)
-                flat = base + slot
-                if (
-                    valid[flat]
-                    and keys[flat] == key
-                    and sec[flat] == secondary
-                ):
-                    self.search_hits += 1
-                    return PtegSearchResult(
-                        pte=PteView(self, flat),
-                        mem_refs=mem_refs,
-                        buckets_probed=1 + secondary,
-                    )
-            # A full bucket with no match falls through to the secondary.
-        primary_group = self.group_index(vsid, page_index, False)
-        self.bucket_miss_histogram[primary_group] += 1
-        return PtegSearchResult(pte=None, mem_refs=mem_refs, buckets_probed=2)
+        flat, mem_refs, probes = self._lookup(vsid, page_index)
+        if flat < 0:
+            self.bucket_miss_histogram[probes[0][0]] += 1
+            return PtegSearchResult(None, mem_refs, probes)
+        self.search_hits += 1
+        return PtegSearchResult(PteView(self, flat), mem_refs, probes)
 
     def pte_at(self, group_index: int, slot: int) -> Optional[PteView]:
         """Direct slot read (for the walker and white-box tests)."""
@@ -397,13 +340,8 @@ class HashedPageTable:
         the table without perturbing the statistics the experiments
         measure.
         """
-        key = (vsid << _KEY_PAGE_BITS) | page_index
-        for secondary in (0, 1):
-            group_index = self.group_index(vsid, page_index, bool(secondary))
-            flat, _ = self._find_in_group(group_index, key, secondary)
-            if flat >= 0:
-                return PteView(self, flat)
-        return None
+        flat = self._lookup(vsid, page_index)[0]
+        return PteView(self, flat) if flat >= 0 else None
 
     def iter_valid(self):
         """Yield ``(group_index, slot, pte)`` for every valid PTE."""
@@ -417,18 +355,20 @@ class HashedPageTable:
 
     # -- reload / insert ------------------------------------------------------
 
-    def insert_counted(self, pte):
-        """Install a PTE, reporting probe runs like :meth:`search_counted`.
+    def insert(self, pte) -> dict:
+        """Install a PTE, preferring invalid slots; evict round-robin else.
 
-        Returns ``(event, probes)`` where ``event`` is the dict
-        :meth:`insert` documents and ``probes`` the per-group examined
-        slot runs (the round-robin evict examines no extra slots).
+        Returns an event dict ``{"mem_refs", "evicted", "victim",
+        "probes"}``: ``victim`` is the replaced *valid* PTE if an evict
+        happened, ``probes`` the per-bucket examined-slot runs as in
+        :meth:`search` (the round-robin evict examines no extra slots).
         """
         self.reloads += 1
         mem_refs = 0
         probes = []
         valid = self._valid
         ppg = self.ptes_per_group
+        # A free (invalid) slot in the primary, then the secondary bucket.
         for secondary in (False, True):
             index = self.group_index(pte.vsid, pte.page_index, secondary)
             base = index * ppg
@@ -445,110 +385,32 @@ class HashedPageTable:
             self._store(flat, pte, secondary)
             if secondary:
                 self.insert_secondary += 1
-            return (
-                {"mem_refs": mem_refs, "evicted": False, "victim": None},
-                probes,
-            )
+            return {"mem_refs": mem_refs, "evicted": False, "victim": None,
+                    "probes": probes}
         # No invalid slot anywhere: replace an arbitrary PTE (§7), chosen
         # round-robin within the primary bucket.
-        index = self.group_index(pte.vsid, pte.page_index, False)
-        flat = index * ppg + self._rr_pointer % ppg
+        flat = probes[0][0] * ppg + self._rr_pointer % ppg
         self._rr_pointer += 1
         victim = self._snapshot(flat)
         pte.secondary = False
         self._store(flat, pte, False)
         self.evicts += 1
-        return (
-            {"mem_refs": mem_refs, "evicted": True, "victim": victim},
-            probes,
-        )
-
-    def insert(self, pte, probe=None) -> dict:
-        """Install a PTE, preferring invalid slots; evict round-robin else.
-
-        Returns an event dict: ``{"mem_refs", "evicted", "victim"}`` where
-        ``victim`` is the replaced *valid* PTE if an evict happened.
-        ``probe(group, slot)`` is called per slot examined, as in
-        :meth:`search`.
-        """
-        if probe is None:
-            event, _ = self.insert_counted(pte)
-            return event
-        self.reloads += 1
-        mem_refs = 0
-        valid = self._valid
-        ppg = self.ptes_per_group
-        # Pass 1: a free (invalid) slot in primary, then secondary bucket.
-        for secondary in (False, True):
-            index = self.group_index(pte.vsid, pte.page_index, secondary)
-            base = index * ppg
-            for slot in range(ppg):
-                mem_refs += 1
-                probe(index, slot)
-                if not valid[base + slot]:
-                    pte.secondary = secondary
-                    self._store(base + slot, pte, secondary)
-                    if secondary:
-                        self.insert_secondary += 1
-                    return {"mem_refs": mem_refs, "evicted": False, "victim": None}
-        index = self.group_index(pte.vsid, pte.page_index, False)
-        flat = index * ppg + self._rr_pointer % ppg
-        self._rr_pointer += 1
-        victim = self._snapshot(flat)
-        pte.secondary = False
-        self._store(flat, pte, False)
-        self.evicts += 1
-        return {"mem_refs": mem_refs, "evicted": True, "victim": victim}
+        return {"mem_refs": mem_refs, "evicted": True, "victim": victim,
+                "probes": probes}
 
     # -- invalidation ----------------------------------------------------------
 
-    def invalidate_counted(self, vsid: int, page_index: int):
-        """Search-and-invalidate, reporting probe runs (flush path)."""
-        key = (vsid << _KEY_PAGE_BITS) | page_index
-        mem_refs = 0
-        probes = []
-        for secondary in (0, 1):
-            group_index = self.group_index(vsid, page_index, bool(secondary))
-            flat, examined = self._find_in_group(group_index, key, secondary)
-            mem_refs += examined
-            probes.append((group_index, examined))
-            if flat >= 0:
-                self._valid[flat] = 0
-                self._valid_delta(flat, -1)
-                return {"mem_refs": mem_refs, "found": True}, probes
-        return {"mem_refs": mem_refs, "found": False}, probes
-
-    def invalidate_entry(self, vsid: int, page_index: int, probe=None) -> dict:
+    def invalidate_entry(self, vsid: int, page_index: int) -> dict:
         """Search-and-invalidate one translation (the expensive flush path).
 
-        Returns ``{"mem_refs", "found"}``; the 16-reference worst case is
-        exactly the cost §7 attributes to range flushes.
+        Returns ``{"mem_refs", "found", "probes"}``; the 16-reference
+        worst case is exactly the cost §7 attributes to range flushes.
         """
-        if probe is None:
-            event, _ = self.invalidate_counted(vsid, page_index)
-            return event
-        key = (vsid << _KEY_PAGE_BITS) | page_index
-        keys = self._key
-        valid = self._valid
-        sec = self._sec
-        ppg = self.ptes_per_group
-        mem_refs = 0
-        for secondary in (0, 1):
-            group_index = self.group_index(vsid, page_index, bool(secondary))
-            base = group_index * ppg
-            for slot in range(ppg):
-                mem_refs += 1
-                probe(group_index, slot)
-                flat = base + slot
-                if (
-                    valid[flat]
-                    and keys[flat] == key
-                    and sec[flat] == secondary
-                ):
-                    valid[flat] = 0
-                    self._valid_delta(flat, -1)
-                    return {"mem_refs": mem_refs, "found": True}
-        return {"mem_refs": mem_refs, "found": False}
+        flat, mem_refs, probes = self._lookup(vsid, page_index)
+        if flat >= 0:
+            self._valid[flat] = 0
+            self._valid_delta(flat, -1)
+        return {"mem_refs": mem_refs, "found": flat >= 0, "probes": probes}
 
     def invalidate_all(self) -> int:
         """Clear the whole table; returns slots that were valid."""
@@ -572,26 +434,14 @@ class HashedPageTable:
 
     # -- the idle task's view ---------------------------------------------------
 
-    def scan_slots(self, start: int, count: int):
-        """Yield ``(flat_slot_index, pte)`` for a window of the table.
-
-        The idle task's zombie reclaim walks the table incrementally with
-        this, remembering its position between idle periods.
-        """
-        slots = self.slots
-        keys = self._key
-        for offset in range(count):
-            flat = (start + offset) % slots
-            yield flat, (PteView(self, flat) if keys[flat] != -1 else None)
-
     def zombie_flats(self, start: int, count: int, vsid_is_live) -> List[int]:
         """Flat indices of zombie slots in a scan window, in scan order.
 
         A zombie is a valid PTE whose VSID the allocator no longer
         considers live — the §7 entries the idle task reclaims.  The
-        window wraps at the table size like :meth:`scan_slots`; only
-        valid slots pay a liveness check, so sweeping a mostly-invalid
-        table is nearly free.
+        window starts at ``start`` modulo the table size and wraps at
+        its end; only valid slots pay a liveness check, so sweeping a
+        mostly-invalid table is nearly free.
         """
         slots = self.slots
         valid = self._valid

@@ -24,10 +24,12 @@ from repro.hw.cache import Cache
 from repro.hw.cpu import CpuState
 from repro.hw.hashtable import HashedPageTable
 from repro.hw.tlb import Tlb, TlbEntry
+from repro.hw.walker import WALK_BASE_CYCLES, WALK_CYCLES_PER_REF
 from repro.params import (
     C603_MISS_INVOKE_CYCLES,
     C604_HASH_MISS_INVOKE_CYCLES,
     HTAB_GROUPS,
+    KERNELBASE,
     MachineSpec,
     PAGE_OFFSET_MASK,
     PAGE_SHIFT,
@@ -221,25 +223,44 @@ class MachineModel:
             return self._tlb_miss_604(ea, kind, write, vsid, page_index, tlb)
         return self._tlb_miss_603(ea, kind, write, vsid, page_index, tlb)
 
+    def htab_lookup(self, ea, write, vsid, page_index, cycles_per_ref):
+        """Search the hash table for one translation: ``(entry, cycles)``.
+
+        The one HTAB-hit → TLB-entry step, shared by the 604's hardware
+        walk and the 603's software emulation of it (each with its own
+        per-probe cost).  Counts ``htab_search`` and ``htab_hit`` or
+        ``htab_miss``; on a hit sets R (and C on a write) and builds the
+        TLB entry, which is ``None`` on a miss.  The caller charges the
+        cycles.
+        """
+        result, cycles = self.walker.search(vsid, page_index, cycles_per_ref)
+        monitor = self.monitor
+        monitor.count("htab_search")
+        pte = result.pte
+        if pte is None:
+            monitor.count("htab_miss")
+            return None, cycles
+        monitor.count("htab_hit")
+        pte.referenced = True
+        if write:
+            pte.changed = True
+        entry = TlbEntry(
+            vsid=vsid,
+            page_index=page_index,
+            ppn=pte.rpn,
+            writable=pte.pp != 0b11,
+            cache_inhibited=pte.cache_inhibited,
+            is_kernel=ea >= KERNELBASE,
+        )
+        return entry, cycles
+
     def _tlb_miss_604(self, ea, kind, write, vsid, page_index, tlb):
         """604: hardware searches the hash table before trapping."""
-        outcome = self.walker.walk(vsid, page_index)
-        self.monitor.count("htab_search")
-        cycles = outcome.cycles
-        if outcome.found:
-            self.monitor.count("htab_hit")
-            pte = outcome.pte
-            pte.referenced = True
-            if write:
-                pte.changed = True
-            entry = TlbEntry(
-                vsid=vsid,
-                page_index=page_index,
-                ppn=pte.rpn,
-                writable=pte.pp != 0b11,
-                cache_inhibited=pte.cache_inhibited,
-                is_kernel=ea >= 0xC0000000,
-            )
+        entry, cycles = self.htab_lookup(
+            ea, write, vsid, page_index, WALK_CYCLES_PER_REF
+        )
+        cycles += WALK_BASE_CYCLES
+        if entry is not None:
             tlb.insert(entry)
             self.clock.add(cycles, "tlb_reload")
             if self.tracer is not None:
@@ -254,7 +275,6 @@ class MachineModel:
                 cache_inhibited=entry.cache_inhibited,
             )
         # Hash-table miss: trap to the kernel.
-        self.monitor.count("htab_miss")
         self.monitor.count("hash_miss_interrupt")
         cycles += C604_HASH_MISS_INVOKE_CYCLES
         return self._software_refill(ea, kind, write, vsid, page_index, tlb, cycles)

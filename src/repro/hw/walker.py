@@ -11,23 +11,20 @@ PTEG's physical address; that is how the §8 cache-pollution effect
 arises in the model without any special-casing.  Configurations that map
 the page tables cache-inhibited simply set ``cache_ptes=False``.
 
-Probe charging is batched per PTEG: the table reports how many
-consecutive slots each probed group examined (``search_counted``), and
-the charger replays those probes against the data cache as one
-``Cache.access_lines`` run over the lines they cross.  Only the first
-slot of each cache line can miss — the probe loop walks consecutive PTE
-addresses, so every later slot on the same line finds it resident and
-MRU (the immediately preceding probe put it there) and is charged as a
-hit.  The idle task's hash-table scans are charged the same way, one
-run per contiguous segment of the window.  Both are cycle-identical and
-statistics-identical to one scalar access per slot, at a fraction of the
-Python cost.
+Probe charging is batched per PTEG: every table operation (search,
+insert, search-and-invalidate) reports how many consecutive slots each
+probed group examined, and one charger replays those probes against
+the data cache as one ``Cache.access_lines`` run over the lines they
+cross.  Only the first slot of each cache line can miss — the probe
+loop walks consecutive PTE addresses, so every later slot on the same
+line finds it resident and MRU (the immediately preceding probe put it
+there) and is charged as a hit.  The zombie sweep's hash-table scans
+are charged the same way, one run per contiguous segment of the
+window.  Both are cycle-identical and statistics-identical to one
+scalar access per slot, at a fraction of the Python cost.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigError
 from repro.hw.cache import Cache
@@ -44,19 +41,6 @@ PTEG_BYTES = PTE_BYTES * PTES_PER_GROUP
 #: 120-cycle ceiling (8 + 16 * 7 = 120).
 WALK_BASE_CYCLES = 8
 WALK_CYCLES_PER_REF = 7
-
-
-@dataclass(slots=True)
-class WalkOutcome:
-    """Result of one hardware (or software-emulated) hash-table walk."""
-
-    pte: Optional[HashPte]
-    cycles: int
-    mem_refs: int
-
-    @property
-    def found(self) -> bool:
-        return self.pte is not None
 
 
 class HardwareWalker:
@@ -144,36 +128,34 @@ class HardwareWalker:
             position = 0
         return cycles
 
-    def charged_search(
+    def _charge_probes(self, probes, mem_refs: int, cycles_per_ref: int) -> int:
+        """Cycles of one table operation's probes.
+
+        ``cycles_per_ref`` instruction cycles per PTE examined, plus the
+        data-cache cost of each ``(group_index, slots_examined)`` run.
+        """
+        inhibited = not self.cache_ptes
+        cycles = cycles_per_ref * mem_refs
+        for group_index, count in probes:
+            cycles += self.charge_probe_run(group_index, count, inhibited)
+        return cycles
+
+    def search(
         self,
         vsid: int,
         page_index: int,
         cycles_per_ref: int = WALK_CYCLES_PER_REF,
-        inhibited: Optional[bool] = None,
     ):
-        """Search the table, charging probes in batched line runs.
+        """Search primary then secondary PTEG, charging every probe.
 
-        Returns ``(result, cycles)``; behaviourally identical to
-        ``htab.search`` with a per-slot probe callback charging
-        ``cycles_per_ref`` plus one data-cache access per slot (the 604
-        hardware walk, or the 603's software emulation of it with its
-        own per-probe instruction cost).
+        Returns ``(result, cycles)``: ``cycles_per_ref`` per PTE examined
+        plus one data-cache access per slot — the 604 hardware walk (its
+        caller adds ``WALK_BASE_CYCLES``), or the 603's software
+        emulation of it with its own per-probe instruction cost.
         """
-        if inhibited is None:
-            inhibited = not self.cache_ptes
-        result, probes = self.htab.search_counted(vsid, page_index)
-        cycles = cycles_per_ref * result.mem_refs
-        for group_index, count in probes:
-            cycles += self.charge_probe_run(group_index, count, inhibited)
-        return result, cycles
-
-    def walk(self, vsid: int, page_index: int) -> WalkOutcome:
-        """Search primary then secondary PTEG; charge cycles per probe."""
-        result, cycles = self.charged_search(vsid, page_index)
-        return WalkOutcome(
-            pte=result.pte,
-            cycles=WALK_BASE_CYCLES + cycles,
-            mem_refs=result.mem_refs,
+        result = self.htab.search(vsid, page_index)
+        return result, self._charge_probes(
+            result.probes, result.mem_refs, cycles_per_ref
         )
 
     def insert(self, pte: HashPte) -> dict:
@@ -182,27 +164,24 @@ class HardwareWalker:
         The returned dict carries the hash-table insert event fields plus
         ``"cycles"`` for the charged probe and store costs.
         """
-        inhibited = not self.cache_ptes
-        event, probes = self.htab.insert_counted(pte)
-        cycles = WALK_CYCLES_PER_REF * event["mem_refs"]
-        for group_index, count in probes:
-            cycles += self.charge_probe_run(group_index, count, inhibited)
+        event = self.htab.insert(pte)
+        cycles = self._charge_probes(
+            event["probes"], event["mem_refs"], WALK_CYCLES_PER_REF
+        )
         # The final PTE store (two words; one line).
         group_index = self.htab.group_index(pte.vsid, pte.page_index, pte.secondary)
         cycles += self.dcache.access(
             self.pte_physical_address(group_index, 0),
             write=True,
-            inhibited=inhibited,
+            inhibited=not self.cache_ptes,
         )
         event["cycles"] = cycles
         return event
 
     def invalidate(self, vsid: int, page_index: int) -> dict:
         """Search-and-invalidate one PTE, charging probes (flush path)."""
-        inhibited = not self.cache_ptes
-        event, probes = self.htab.invalidate_counted(vsid, page_index)
-        cycles = WALK_CYCLES_PER_REF * event["mem_refs"]
-        for group_index, count in probes:
-            cycles += self.charge_probe_run(group_index, count, inhibited)
-        event["cycles"] = cycles
+        event = self.htab.invalidate_entry(vsid, page_index)
+        event["cycles"] = self._charge_probes(
+            event["probes"], event["mem_refs"], WALK_CYCLES_PER_REF
+        )
         return event

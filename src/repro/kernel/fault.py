@@ -101,28 +101,14 @@ class MissHandlers:
 
         # 603 with the hash table retained (§6.2's "before"): emulate the
         # 604 by searching the hash table in software first.
-        if not machine.spec.hardware_tablewalk and self.config.use_htab_on_603:
-            machine.monitor.count("htab_search")
-            result, search_cycles = machine.walker.charged_search(
-                vsid,
-                page_index,
-                cycles_per_ref=SW_PROBE_CYCLES,
-                inhibited=not self.config.cache_page_tables,
+        if self.kernel.uses_htab and not machine.spec.hardware_tablewalk:
+            entry, search_cycles = machine.htab_lookup(
+                ea, write, vsid, page_index, SW_PROBE_CYCLES
             )
             cycles += search_cycles
-            if result.found:
-                machine.monitor.count("htab_hit")
-                pte = result.pte
-                pte.referenced = True
-                if write:
-                    pte.changed = True
+            if entry is not None:
                 self._trace_refill(ea, "htab", cycles)
-                return RefillResult(
-                    entry=self._tlb_entry(ea, vsid, page_index, pte.rpn,
-                                          pte.pp != 0b11, pte.cache_inhibited),
-                    cycles=cycles,
-                )
-            machine.monitor.count("htab_miss")
+                return RefillResult(entry=entry, cycles=cycles)
 
         # The Linux PTE tree is the source of truth.
         resolution = "tree"
@@ -137,18 +123,18 @@ class MissHandlers:
             linux_pte.dirty = True
 
         # Feed the hash table when this machine/config uses one.
-        if self._uses_htab():
+        if self.kernel.uses_htab:
             cycles += self.kernel.reloader.install(vsid, page_index, linux_pte)
 
         self._trace_refill(ea, resolution, cycles)
         return RefillResult(
-            entry=self._tlb_entry(
-                ea,
-                vsid,
-                page_index,
-                linux_pte.pfn,
-                linux_pte.writable,
-                linux_pte.cache_inhibited,
+            entry=TlbEntry(
+                vsid=vsid,
+                page_index=page_index,
+                ppn=linux_pte.pfn,
+                writable=linux_pte.writable,
+                cache_inhibited=linux_pte.cache_inhibited,
+                is_kernel=ea >= KERNELBASE,
             ),
             cycles=cycles,
         )
@@ -159,20 +145,3 @@ class MissHandlers:
                 "sw-refill", "mmu", cycles,
                 {"ea": hex(ea), "resolution": resolution},
             )
-
-    def _uses_htab(self) -> bool:
-        """604 hardware requires the hash table; the 603 only if configured."""
-        if self.machine.spec.hardware_tablewalk:
-            return True
-        return self.config.use_htab_on_603
-
-    @staticmethod
-    def _tlb_entry(ea, vsid, page_index, pfn, writable, cache_inhibited):
-        return TlbEntry(
-            vsid=vsid,
-            page_index=page_index,
-            ppn=pfn,
-            writable=writable,
-            cache_inhibited=cache_inhibited,
-            is_kernel=ea >= KERNELBASE,
-        )

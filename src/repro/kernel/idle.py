@@ -35,6 +35,43 @@ RECLAIM_CYCLES_PER_SLOT = 3
 #: Cycles to spin one unit when there is nothing to do.
 SPIN_UNIT_CYCLES = 32
 
+#: Cycles of the store that clears one zombie's valid bit.
+RECLAIM_STORE_CYCLES = 2
+
+
+def sweep_zombies(
+    kernel, start: int, slots: int, cycles_per_slot: int,
+    inhibited: bool = False,
+):
+    """Reclaim the zombie PTEs in one window of the hash table.
+
+    The one §7 zombie sweep, run by the idle task and by the rejected
+    on-demand scavenge (``kernel/reload.py``).  Charges
+    ``cycles_per_slot`` per slot examined plus the streamed tag-word
+    loads, clears the valid bit of every zombie in the window, counts
+    ``zombie_reclaimed`` for each and runs the sanitizer's reclaim
+    check on it.  Returns ``(cycles, reclaimed)``; the caller books the
+    cycles to its own ledger category and advances its own cursor.
+    """
+    machine = kernel.machine
+    htab = machine.htab
+    # The scan streams the table; one memory access covers a cache
+    # line's worth of PTE tag words.
+    cycles = cycles_per_slot * slots + machine.walker.charge_scan_window(
+        start, slots, inhibited=inhibited
+    )
+    zombies = htab.zombie_flats(start, slots, kernel.vsid_allocator.is_live)
+    monitor = machine.monitor
+    sanitizer = machine.sanitizer
+    ppg = htab.ptes_per_group
+    for flat in zombies:
+        htab.invalidate_slot(flat)
+        monitor.count("zombie_reclaimed")
+        cycles += RECLAIM_STORE_CYCLES
+        if sanitizer is not None:
+            sanitizer.after_reclaim_slot(flat, htab.pte_at(*divmod(flat, ppg)))
+    return cycles, len(zombies)
+
 
 class IdleTask:
     """The idle loop, parameterized by the kernel configuration."""
@@ -85,27 +122,12 @@ class IdleTask:
         when the scan comes up empty.
         """
         machine = self.machine
-        htab = machine.htab
         start = self._scan_position
-        cycles = RECLAIM_CYCLES_PER_SLOT * RECLAIM_CHUNK_SLOTS
-        # The scan streams the table; one memory access covers a cache
-        # line's worth of PTE tag words.
-        cycles += machine.walker.charge_scan_window(
-            start, RECLAIM_CHUNK_SLOTS, inhibited=self.config.idle_uncached
+        cycles, reclaimed = sweep_zombies(
+            self.kernel, start, RECLAIM_CHUNK_SLOTS, RECLAIM_CYCLES_PER_SLOT,
+            inhibited=self.config.idle_uncached,
         )
-        zombies = htab.zombie_flats(
-            start, RECLAIM_CHUNK_SLOTS, self.kernel.vsid_allocator.is_live
-        )
-        ppg = htab.ptes_per_group
-        sanitizer = machine.sanitizer
-        for flat in zombies:
-            htab.invalidate_slot(flat)
-            machine.monitor.count("zombie_reclaimed")
-            cycles += 2  # the store clearing the valid bit
-            if sanitizer is not None:
-                sanitizer.after_reclaim_slot(flat, htab.pte_at(*divmod(flat, ppg)))
-        reclaimed = len(zombies)
-        self._scan_position = (start + RECLAIM_CHUNK_SLOTS) % htab.slots
+        self._scan_position = (start + RECLAIM_CHUNK_SLOTS) % machine.htab.slots
         machine.clock.add(cycles, "idle_reclaim")
         self.reclaim_passes += 1
         self.zombies_reclaimed += reclaimed

@@ -106,6 +106,11 @@ class Kernel:
             first_pfn=KERNEL_IMAGE_PAGES,
             last_pfn=htab_first_pfn - 1,
         )
+        #: Whether this machine/config keeps the hash table: the 604's
+        #: hardware walk requires it; the 603 only if configured (§6.2).
+        self.uses_htab = (
+            machine.spec.hardware_tablewalk or config.use_htab_on_603
+        )
         self._build_kernel_address_space()
         self._build_vsid_allocator()
         self._program_bats()

@@ -18,6 +18,7 @@ the hash table").
 from __future__ import annotations
 
 from repro.hw.pte import HashPte, PP_RO, PP_RW, WIMG_CACHE_INHIBIT
+from repro.kernel.idle import sweep_zombies
 from repro.kernel.pagetable import LinuxPte
 
 #: Slots scanned by one on-demand scavenge burst — just enough to find
@@ -71,18 +72,11 @@ class HtabReloader:
     def _scavenge(self) -> int:
         """The rejected design: synchronously sweep for zombies."""
         machine = self.machine
-        htab = machine.htab
         start = self._scavenge_cursor
-        cycles = SCAVENGE_CYCLES_PER_SLOT * SCAVENGE_SLOTS
-        cycles += machine.walker.charge_scan_window(start, SCAVENGE_SLOTS)
-        zombies = htab.zombie_flats(
-            start, SCAVENGE_SLOTS, self.kernel.vsid_allocator.is_live
+        cycles, _ = sweep_zombies(
+            self.kernel, start, SCAVENGE_SLOTS, SCAVENGE_CYCLES_PER_SLOT
         )
-        for flat in zombies:
-            htab.invalidate_slot(flat)
-            machine.monitor.count("zombie_reclaimed")
-            cycles += 2
-        self._scavenge_cursor = (start + SCAVENGE_SLOTS) % htab.slots
+        self._scavenge_cursor = (start + SCAVENGE_SLOTS) % machine.htab.slots
         self.scavenge_bursts += 1
         machine.monitor.count("scavenge_burst")
         machine.clock.add(cycles, "scavenge")

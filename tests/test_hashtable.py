@@ -98,11 +98,14 @@ class TestSearchInsert:
         assert htab.evicts > 0
         assert htab.valid_entries() <= htab.slots
 
-    def test_probe_callback_invoked_per_slot(self):
+    def test_search_reports_probe_runs(self):
         htab = HashedPageTable(groups=64)
-        probes = []
-        htab.search(1, 0x10, probe=lambda g, s: probes.append((g, s)))
-        assert len(probes) == 16
+        result = htab.search(1, 0x10)
+        primary = htab.group_index(1, 0x10, secondary=False)
+        secondary = htab.group_index(1, 0x10, secondary=True)
+        assert result.probes == [
+            (primary, PTES_PER_GROUP), (secondary, PTES_PER_GROUP),
+        ]
 
 
 class TestInvalidate:
@@ -129,20 +132,22 @@ class TestInvalidate:
 
 
 class TestScanAndStats:
-    def test_scan_slots_wraps(self):
+    def test_zombie_flats_wraps(self):
         htab = HashedPageTable(groups=2)
-        slots = list(htab.scan_slots(start=htab.slots - 2, count=4))
-        indices = [flat for flat, _ in slots]
-        assert indices == [htab.slots - 2, htab.slots - 1, 0, 1]
+        for page in range(htab.slots):
+            htab.insert(pte(1, page))
+        assert htab.valid_entries() == htab.slots and htab.evicts == 0
+        start = htab.slots - 2
+        assert htab.zombie_flats(start, 4, lambda vsid: False) == [
+            htab.slots - 2, htab.slots - 1, 0, 1,
+        ]
+        assert htab.zombie_flats(start, 4, lambda vsid: True) == []
 
     def test_invalidate_slot(self):
         htab = HashedPageTable(groups=64)
         htab.insert(pte(1, 0x10))
-        flat = next(
-            flat for flat, entry in htab.scan_slots(0, htab.slots)
-            if entry is not None
-        )
-        htab.invalidate_slot(flat)
+        group, slot, _ = next(htab.iter_valid())
+        htab.invalidate_slot(group * htab.ptes_per_group + slot)
         assert htab.valid_entries() == 0
 
     def test_live_and_zombie_split(self):
@@ -205,3 +210,115 @@ class TestProperties:
             htab.insert(pte(3, page))
         if htab.evicts == 0:
             assert htab.valid_entries() == len(pages)
+
+
+def reference_scan(htab, vsid, page_index, wanted):
+    """Per-slot primary-then-secondary scan over the table's slots.
+
+    Examines one slot at a time, the way the hardware (and the 603's
+    software emulation) reads a PTEG, until ``wanted(pte, secondary)``
+    holds.  Returns ``(flat, mem_refs, probes)`` with ``flat`` None when
+    no slot qualifies.
+    """
+    ppg = htab.ptes_per_group
+    mem_refs = 0
+    probes = []
+    for secondary in (False, True):
+        group = htab.group_index(vsid, page_index, secondary)
+        for slot in range(ppg):
+            mem_refs += 1
+            if wanted(htab.pte_at(group, slot), secondary):
+                probes.append((group, slot + 1))
+                return group * ppg + slot, mem_refs, probes
+        probes.append((group, ppg))
+    return None, mem_refs, probes
+
+
+def reference_lookup(htab, vsid, page_index):
+    return reference_scan(
+        htab, vsid, page_index,
+        lambda entry, secondary: (
+            entry is not None and entry.valid and entry.vsid == vsid
+            and entry.page_index == page_index
+            and entry.secondary == secondary
+        ),
+    )
+
+
+def reference_free_slot(htab, vsid, page_index):
+    return reference_scan(
+        htab, vsid, page_index,
+        lambda entry, secondary: entry is None or not entry.valid,
+    )
+
+
+def slot_rpn(htab, flat):
+    return htab.pte_at(*divmod(flat, htab.ptes_per_group)).rpn
+
+
+TABLE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["search", "insert", "invalidate"]),
+        st.integers(1, 3),       # vsid
+        st.integers(0, 15),      # page index
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestAgainstPerSlotScan:
+    """``search``/``insert``/``invalidate_entry`` vs a per-slot scan."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([8, 16]), st.integers(0, 48), TABLE_OPS)
+    def test_operations_match_reference_scan(self, ptes_per_group,
+                                             prefill, operations):
+        htab = HashedPageTable(groups=2, ptes_per_group=ptes_per_group)
+        # Checked inserts that fill the two-group table, so the random
+        # operations also run against full buckets and evicts.
+        fill = [("insert", 1 + i % 3, i % 16) for i in range(prefill)]
+        next_rpn = 1
+        evicts = 0
+        for op, vsid, page in fill + operations:
+            if op == "search":
+                flat, mem_refs, probes = reference_lookup(htab, vsid, page)
+                result = htab.search(vsid, page)
+                assert (result.probes, result.mem_refs) == (probes, mem_refs)
+                assert result.found == (flat is not None)
+                if flat is not None:
+                    assert result.pte.rpn == slot_rpn(htab, flat)
+            elif op == "insert":
+                flat, mem_refs, probes = reference_free_slot(htab, vsid, page)
+                secondary = flat is not None and len(probes) == 2
+                if flat is None:
+                    # Round-robin over the primary bucket, one step per evict.
+                    flat = probes[0][0] * ptes_per_group + (
+                        evicts % ptes_per_group
+                    )
+                    victim_rpn = slot_rpn(htab, flat)
+                    evicts += 1
+                event = htab.insert(pte(vsid, page, rpn=next_rpn))
+                assert (event["probes"], event["mem_refs"]) == (
+                    probes, mem_refs
+                )
+                assert event["evicted"] == (event["victim"] is not None)
+                if event["evicted"]:
+                    assert event["victim"].rpn == victim_rpn
+                assert htab.evicts == evicts
+                assert slot_rpn(htab, flat) == next_rpn
+                assert htab.pte_at(
+                    *divmod(flat, ptes_per_group)
+                ).secondary == secondary
+                next_rpn += 1
+            else:
+                flat, mem_refs, probes = reference_lookup(htab, vsid, page)
+                event = htab.invalidate_entry(vsid, page)
+                assert (event["probes"], event["mem_refs"]) == (
+                    probes, mem_refs
+                )
+                assert event["found"] == (flat is not None)
+                if flat is not None:
+                    assert not htab.pte_at(
+                        *divmod(flat, ptes_per_group)
+                    ).valid

@@ -32,32 +32,40 @@ class TestWalkCosts:
     def test_found_walk_returns_pte(self):
         walker, htab, _ = make_walker()
         htab.insert(HashPte(vsid=1, page_index=0x10, rpn=9))
-        outcome = walker.walk(1, 0x10)
-        assert outcome.found and outcome.pte.rpn == 9
+        result, _ = walker.search(1, 0x10)
+        assert result.found and result.pte.rpn == 9
 
     def test_miss_walk_probes_both_buckets(self):
         walker, _, _ = make_walker()
-        outcome = walker.walk(1, 0x10)
-        assert not outcome.found
-        assert outcome.mem_refs == 16
+        result, _ = walker.search(1, 0x10)
+        assert not result.found
+        assert result.mem_refs == 16
 
     def test_walk_charges_cache_accesses(self):
         walker, _, dcache = make_walker()
-        walker.walk(1, 0x10)
+        walker.search(1, 0x10)
         assert dcache.stats.misses + dcache.stats.hits == 16
 
     def test_uncached_walk_bypasses_cache(self):
         walker, _, dcache = make_walker(cache_ptes=False)
-        walker.walk(1, 0x10)
+        walker.search(1, 0x10)
         assert dcache.stats.bypasses == 16
         assert len(dcache) == 0
 
     def test_warm_walk_cheaper_than_cold(self):
         walker, htab, _ = make_walker()
         htab.insert(HashPte(vsid=1, page_index=0x10, rpn=9))
-        cold = walker.walk(1, 0x10).cycles
-        warm = walker.walk(1, 0x10).cycles
+        _, cold = walker.search(1, 0x10)
+        _, warm = walker.search(1, 0x10)
         assert warm < cold
+
+    def test_search_charges_cycles_per_ref(self):
+        # Uncached probes cost the same every time, so the difference
+        # is the per-reference instruction cost alone.
+        walker, _, _ = make_walker(cache_ptes=False)
+        _, hardware = walker.search(1, 0x10)
+        _, software = walker.search(1, 0x10, cycles_per_ref=2)
+        assert hardware - software == 16 * (WALK_CYCLES_PER_REF - 2)
 
     def test_pte_physical_address_layout(self):
         walker, _, _ = make_walker()
